@@ -22,6 +22,7 @@ from .model import (
     TrivialModerator,
     UserProfile,
     best_response,
+    best_responses,
     ideal_point,
     project_hyperplane,
     project_polytope,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage/validation error, 3 infeasible calibration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -48,24 +49,14 @@ class UsageError(Exception):
 # parameter schemas: key -> (type, default); None default means required
 # ----------------------------------------------------------------------
 
-_MIXTURE = {
-    "d": ("int", 5),
-    "n": ("int", 500),
-    "k": ("int", 5),
-    "sigma_lo": ("float", 0.3),
-    "sigma_hi": ("float", 0.5),
-    "c_lo": ("float", 0.5),
-    "c_hi": ("float", 1.5),
-}
+def _fields_schema(cls) -> dict:
+    """Schema of a config dataclass's fields; seed and lam come per job."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in ("seed", "lam")]
+    return {f.name: (type(f.default).__name__, f.default) for f in fields}
 
-_SOLVER = {
-    "epsilon": ("float", 0.9),
-    "learning_rate": ("float", 0.1),
-    "max_iters": ("int", 2000),
-    "restarts": ("int", 8),
-    "tol_grad": ("float", 1e-8),
-    "a_min": ("float", 1e-6),
-}
+
+_MIXTURE = _fields_schema(MixtureSpec)
+_SOLVER = _fields_schema(SolverConfig)
 
 _SCHEMAS = {
     "generate": {**_MIXTURE, "seed": ("int", 0), "out": ("str", None)},
@@ -202,23 +193,18 @@ def _write_csv(path: str, header: str, rows: list[tuple], footer: list[str]) -> 
         fh.write("\n".join(lines) + "\n")
 
 
+def _mixture_spec(params: dict, seed: int) -> MixtureSpec:
+    return MixtureSpec(**{key: params[key] for key in _MIXTURE}, seed=seed)
+
+
 def _solver_config(params: dict, lam: float, seed: int) -> SolverConfig:
-    return SolverConfig(
-        epsilon=params["epsilon"],
-        lam=lam,
-        learning_rate=params["learning_rate"],
-        max_iters=params["max_iters"],
-        restarts=params["restarts"],
-        seed=seed,
-        tol_grad=params["tol_grad"],
-        a_min=params["a_min"],
-    )
+    return SolverConfig(**{key: params[key] for key in _SOLVER}, lam=lam, seed=seed)
 
 
-def _result_row(lam: float, result) -> tuple:
+def _result_fields(result) -> tuple:
+    """A solve's columns after lambda, in ``_RESULT_HEADER`` order."""
     m = result.metrics
     return (
-        lam,
         result.dm,
         m.fos_desired,
         m.fos_retained,
@@ -233,17 +219,7 @@ _RESULT_HEADER = "lambda,dm,fos_desired,fos_retained,filtered_count,objective,it
 
 
 def _cmd_generate(params: dict) -> int:
-    spec = MixtureSpec(
-        d=params["d"],
-        n=params["n"],
-        k=params["k"],
-        sigma_lo=params["sigma_lo"],
-        sigma_hi=params["sigma_hi"],
-        c_lo=params["c_lo"],
-        c_hi=params["c_hi"],
-        seed=params["seed"],
-    )
-    pop = data_mod.generate(spec)
+    pop = data_mod.generate(_mixture_spec(params, params["seed"]))
     data_mod.save(pop, params["out"])
     with open(params["out"], "a", encoding="utf-8") as fh:
         fh.write("\n".join(_footer_lines("generate", params)) + "\n")
@@ -262,7 +238,7 @@ def _cmd_solve(params: dict) -> int:
     cfg = _solver_config(params, lam=params["lam"], seed=params["seed"])
     result = pgd_solve(pop, cfg)
     footer = _footer_lines("solve", params)
-    _write_csv(params["out"], _RESULT_HEADER, [_result_row(params["lam"], result)], footer)
+    _write_csv(params["out"], _RESULT_HEADER, [(params["lam"], *_result_fields(result))], footer)
     moderator_out = params["moderator_out"] or _with_suffix(params["out"], ".moderator.csv")
     _write_moderator(moderator_out, result.moderator, footer)
     return 0
@@ -278,19 +254,12 @@ def _cmd_calibrate(params: dict) -> int:
         "lambda,feasible,violations,solve_count,dm,fos_desired,fos_retained,"
         "filtered_count,objective,iterations,converged"
     )
-    m = outcome.result.metrics
     row = (
         outcome.lam,
         outcome.feasible,
         violations,
         outcome.solve_count,
-        outcome.result.dm,
-        m.fos_desired,
-        m.fos_retained,
-        m.filtered_count,
-        outcome.result.objective,
-        outcome.result.iterations_used,
-        outcome.result.converged,
+        *_result_fields(outcome.result),
     )
     _write_csv(params["out"], header, [row], _footer_lines("calibrate", params))
     return 0 if outcome.feasible else 3
@@ -305,32 +274,10 @@ def _cmd_sweep(params: dict) -> int:
     lambdas = params["lambdas"]
     rows = []
     for s in range(params["seed"], params["seed"] + params["seeds"]):
-        spec = MixtureSpec(
-            d=params["d"],
-            n=params["n"],
-            k=params["k"],
-            sigma_lo=params["sigma_lo"],
-            sigma_hi=params["sigma_hi"],
-            c_lo=params["c_lo"],
-            c_hi=params["c_hi"],
-            seed=s,
-        )
-        pop = data_mod.generate(spec)
+        pop = data_mod.generate(_mixture_spec(params, s))
         cfg = _solver_config(params, lam=0.0, seed=s)
-        for point in sweep_lambda(pop, lambdas, cfg):
-            rows.append(
-                (
-                    point.lam,
-                    s,
-                    point.dm,
-                    point.fos_desired,
-                    point.fos_retained,
-                    point.filtered_count,
-                    point.objective,
-                    point.iterations,
-                    point.converged,
-                )
-            )
+        # a TradeoffPoint's fields are the SWEEP_HEADER columns, in order
+        rows.extend(dataclasses.astuple(p) for p in sweep_lambda(pop, lambdas, cfg))
     _write_csv(params["out"], SWEEP_HEADER, rows, _footer_lines("sweep", params))
     if params["plot"]:
         _write_sweep_plot(_with_suffix(params["out"], ".svg"), lambdas, rows)

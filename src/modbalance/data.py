@@ -7,8 +7,10 @@ generator with one documented stream per ingredient (0 centers, 1 sigmas,
 2 points, 3 costs), so a seed pins the dataset bit for bit across platforms.
 
 Datasets are one CSV per population: ``#``-prefixed ``key = value`` metadata
-(dimension and trend vector) above a ``x_0,...,x_{d-1},c`` header, floats at
-17 significant digits for exact round-trips.
+(dimension, row count and trend vector) above a ``x_0,...,x_{d-1},c`` header,
+floats at 17 significant digits for exact round-trips. ``load`` names the line
+of the first bad value, and rejects a file whose row count disagrees with its
+``n`` metadata.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def save(pop: Population, path) -> None:
         "# trend = " + ",".join(_fmt(v) for v in pop.trend.e),
         ",".join([f"x_{j}" for j in range(d)] + ["c"]),
     ]
-    for u in pop.users:
-        lines.append(",".join([_fmt(v) for v in u.x] + [_fmt(u.c)]))
+    row = ",".join(["%.17g"] * (d + 1))
+    lines.extend(row % tuple(r) for r in np.column_stack([pop.feature_matrix, pop.costs]).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -151,6 +153,10 @@ def load(path) -> Population:
         if "trend" not in meta:
             raise DatasetFormatError("missing 'trend' metadata comment", header_no)
         trend = np.array([float(v) for v in meta["trend"].split(",")])
+        if "n" in meta and int(meta["n"]) != len(rows):
+            raise DatasetFormatError(
+                f"metadata n = {meta['n']} disagrees with {len(rows)} data rows", header_no
+            )
     except ValueError as exc:
         if isinstance(exc, DatasetFormatError):
             raise
@@ -163,19 +169,22 @@ def load(path) -> Population:
     if not rows:
         raise DatasetFormatError("empty population: header present but no data rows")
 
-    X = np.empty((len(rows), d))
-    costs = np.empty(len(rows))
+    table = np.empty((len(rows), d + 1))
     for i, (line_no, line) in enumerate(rows):
         parts = line.split(",")
         if len(parts) != d + 1:
-            raise DatasetFormatError(
-                f"expected {d + 1} fields, got {len(parts)}", line_no
-            )
+            raise DatasetFormatError(f"expected {d + 1} fields, got {len(parts)}", line_no)
         try:
-            values = [float(p) for p in parts]
+            table[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise DatasetFormatError(f"bad float: {exc}", line_no) from None
-        X[i] = values[:d]
-        costs[i] = values[d]
 
+    X, costs = table[:, :d], table[:, d]
+    bad_x = ~np.isfinite(X).all(axis=1)
+    bad = bad_x | ~(np.isfinite(costs) & (costs > 0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if bad_x[i]:
+            raise DatasetFormatError("features must be finite", rows[i][0])
+        raise DatasetFormatError(f"cost must be positive and finite, got {costs[i]}", rows[i][0])
     return Population.from_arrays(X, costs, trend)

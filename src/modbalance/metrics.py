@@ -4,6 +4,10 @@ Distortion counts the squared displacement of users whose original content is
 benign; everyone else contributes nothing. Mitigation compares a moderator
 against the do-nothing baseline, user by user, and is always nonnegative: a
 moderator can only shorten the detour a benign user takes chasing the trend.
+
+``metrics`` is one array pass over :func:`~modbalance.model.best_responses`.
+The per-user functions (``distortion``, ``mitigation``, ``dm_population``)
+are the by-definition references it is checked against.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from .model import (
     LinearModerator,
     Moderator,
     Population,
+    ResponseCase,
     Trend,
-    TRIVIAL,
     UserProfile,
     best_response,
-    ideal_point,
+    best_responses,
 )
 
 
@@ -101,20 +105,19 @@ def dm_closed_form_linear(pop: Population, f: LinearModerator) -> float:
 
 
 def metrics(pop: Population, f: Moderator) -> MetricReport:
-    """One pass over best responses: mitigation total plus both speech indices."""
-    e = pop.trend
-    dm = 0.0
-    desired = 0
-    filtered = 0
-    for u in pop.users:
-        result = best_response(u, e, f)
-        if f.is_benign(ideal_point(u, e)):
-            desired += 1
-        if result.filtered:
-            filtered += 1
-        if f.is_benign(u.x):
-            delta = result.z_star - u.x
-            dm += baseline_distortion(u, e) - float(np.dot(delta, delta))
+    """Mitigation total plus both speech indices, from one best-response pass.
+
+    Only projected users mitigate: a filtered origin counts nothing, and a
+    user who reaches the ideal point moves the baseline distance.
+    """
+    Z, cases = best_responses(pop, f)
+    moved = cases == ResponseCase.PROJECTED
+    costs = pop.costs[moved]
+    e = pop.trend.e
+    delta = Z[moved] - pop.feature_matrix[moved]
+    dm = float(np.sum(np.dot(e, e) / (4.0 * costs * costs) - np.sum(delta * delta, axis=1)))
+    desired = int(np.count_nonzero(cases == ResponseCase.UNCONSTRAINED))
+    filtered = int(np.count_nonzero(cases == ResponseCase.STAY_FILTERED))
     n = pop.n
     return MetricReport(
         dm=dm,

@@ -6,13 +6,18 @@ moderator assigns every candidate vector a harmfulness score; content with a
 nonpositive score is benign (published), positive means filtered. Facing a
 moderator, a rational user shifts toward the trend direction as far as the
 benign region allows, which this module resolves in closed form.
+
+A :class:`Population` is three read-only things: a feature matrix (n, d), a
+cost vector (n,) and the trend. :func:`best_responses` resolves every user of
+a population in one array pass; the scalar :func:`best_response` on a
+:class:`UserProfile` is the by-definition reference it is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -89,63 +94,63 @@ class Trend:
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """An ordered set of users sharing one trend direction."""
+    """An ordered set of users sharing one trend direction, held as arrays.
 
-    users: tuple[UserProfile, ...]
+    Row i of ``feature_matrix`` (n, d) and entry i of ``costs`` (n,) are user
+    i's content and manipulation cost. Construction copies both, checks them
+    once (nonempty, matching shapes, finite, positive costs) and makes the
+    copies read-only.
+    """
+
+    feature_matrix: np.ndarray
+    costs: np.ndarray
     trend: Trend
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        if not self.users:
-            raise ValueError("population must be nonempty")
-        d = self.trend.d
-        for i, u in enumerate(self.users):
-            if u.d != d:
-                raise ValueError(f"user {i} has dimension {u.d}, trend has {d}")
+        X = np.array(self.feature_matrix, dtype=np.float64)
+        costs = np.array(self.costs, dtype=np.float64)
+        n = X.shape[0] if X.ndim == 2 else 0
+        if n == 0 or X.shape[1] != self.trend.d or costs.shape != (n,):
+            raise ValueError(
+                f"need a nonempty (n, {self.trend.d}) feature matrix and n costs, "
+                f"got shapes {X.shape} and {costs.shape}"
+            )
+        bad_x = ~np.isfinite(X).all(axis=1)
+        if np.any(bad_x):
+            raise ValueError(f"user {int(np.argmax(bad_x))}: x must be finite in every coordinate")
+        bad_c = ~(np.isfinite(costs) & (costs > 0))
+        if np.any(bad_c):
+            i = int(np.argmax(bad_c))
+            raise ValueError(f"user {i}: manipulation cost c must be positive, got {costs[i]}")
+        X.setflags(write=False)
+        costs.setflags(write=False)
+        object.__setattr__(self, "feature_matrix", X)
+        object.__setattr__(self, "costs", costs)
 
     @classmethod
     def from_arrays(cls, features, costs, trend) -> "Population":
-        features = np.asarray(features, dtype=np.float64)
-        costs = np.asarray(costs, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] != costs.shape[0]:
-            raise ValueError("features must be (n, d) with one cost per row")
-        users = tuple(UserProfile(x, c) for x, c in zip(features, costs))
-        return cls(users=users, trend=Trend(np.asarray(trend, dtype=np.float64)))
+        return cls(features, costs, Trend(trend))
 
     @property
     def n(self) -> int:
-        return len(self.users)
+        return self.costs.shape[0]
 
     @property
     def d(self) -> int:
         return self.trend.d
 
-    # cached_property writes straight into __dict__, bypassing the frozen guard
     @property
-    def feature_matrix(self) -> np.ndarray:
-        cached = self.__dict__.get("_X")
-        if cached is None:
-            cached = np.vstack([u.x for u in self.users])
-            cached.setflags(write=False)
-            self.__dict__["_X"] = cached
-        return cached
-
-    @property
-    def costs(self) -> np.ndarray:
-        cached = self.__dict__.get("_costs")
-        if cached is None:
-            cached = np.array([u.c for u in self.users])
-            cached.setflags(write=False)
-            self.__dict__["_costs"] = cached
-        return cached
+    def users(self) -> tuple[UserProfile, ...]:
+        """Per-user view, built on every access, for by-definition references."""
+        return tuple(UserProfile(x, c) for x, c in zip(self.feature_matrix, self.costs))
 
     def __eq__(self, other):
         if not isinstance(other, Population):
             return NotImplemented
         return (
             self.trend == other.trend
-            and len(self.users) == len(other.users)
-            and all(a == b for a, b in zip(self.users, other.users))
+            and np.array_equal(self.feature_matrix, other.feature_matrix)
+            and np.array_equal(self.costs, other.costs)
         )
 
 
@@ -241,11 +246,13 @@ class TrivialModerator(Moderator):
 TRIVIAL = TrivialModerator()
 
 
-class ResponseCase(Enum):
-    UNCONSTRAINED = "unconstrained"
-    PROJECTED = "projected"
-    STAY_FILTERED = "stay_filtered"
-    CROSS_TO_BOUNDARY = "cross_to_boundary"
+class ResponseCase(IntEnum):
+    """Regime of a best response; :func:`best_responses` reports these codes."""
+
+    UNCONSTRAINED = 0
+    PROJECTED = 1
+    STAY_FILTERED = 2
+    CROSS_TO_BOUNDARY = 3
 
 
 @dataclass(frozen=True)
@@ -358,3 +365,35 @@ def best_response(u: UserProfile, e: Trend, f: Moderator) -> BestResponseResult:
     if utility_p > 0.0:
         return BestResponseResult(p, ResponseCase.CROSS_TO_BOUNDARY, False, utility_p)
     return BestResponseResult(u.x, ResponseCase.STAY_FILTERED, True, 0.0)
+
+
+def _project_benign_rows(Z: np.ndarray, f: Moderator) -> np.ndarray:
+    if isinstance(f, LinearModerator):
+        return Z - ((Z @ f.w + f.b) / np.dot(f.w, f.w))[:, None] * f.w
+    return np.array([_project_benign(z, f) for z in Z])
+
+
+def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's :func:`best_response` in one array pass: z* (n, d) and
+    each user's :class:`ResponseCase` code (n,).
+
+    Only users whose ideal point is filtered are projected: halfspaces in
+    closed form, polytopes row by row through :func:`project_polytope`.
+    """
+    X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
+    Z = X + e / (2.0 * costs)[:, None]
+    cases = np.full(pop.n, ResponseCase.UNCONSTRAINED, dtype=np.int8)
+    out = f.score_many(Z) > BENIGN_TOL
+    if not np.any(out):
+        return Z, cases
+    P = _project_benign_rows(Z[out], f)
+    Xo = X[out]
+    utility_p = P @ e - costs[out] * np.sum((P - Xo) ** 2, axis=1)
+    origin_benign = f.score_many(Xo) <= BENIGN_TOL
+    stay = ~origin_benign & ~(utility_p > 0.0)
+    cases[out] = np.select(
+        [origin_benign, stay], [ResponseCase.PROJECTED, ResponseCase.STAY_FILTERED],
+        ResponseCase.CROSS_TO_BOUNDARY,
+    )
+    Z[out] = np.where(stay[:, None], Xo, P)
+    return Z, cases

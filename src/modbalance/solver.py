@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import MetricReport, dm_closed_form_linear, generalization_gap, metrics
+from .metrics import MetricReport, dm_closed_form_linear, metrics
 from .model import LinearModerator, Population
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "calibrate_lambda",
     "sweep_lambda",
     "derive_seed",
-    "generalization_gap",
 ]
 
 _GOLDEN64 = 0x9E3779B97F4A7C15

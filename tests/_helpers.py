@@ -1,10 +1,13 @@
-"""Shared test oracles: exhaustive utility grids, regime sampling, and the
-exact penalized objective."""
+"""Shared test oracles: exhaustive utility grids, regime sampling, random
+moderated populations, and the exact penalized objective."""
 
 import numpy as np
 
 from modbalance import (
     LinearModerator,
+    Population,
+    PolytopeModerator,
+    TRIVIAL,
     best_response,
     dm_closed_form_linear,
     ideal_point,
@@ -92,3 +95,36 @@ def random_regime_instance(rng, d):
 def penalized_objective(pop, f, lam):
     """Exact penalized objective J = -DM + lam * squared ideal-point hinges."""
     return -dm_closed_form_linear(pop, f) + lam * penalty_value(violation_vector(pop, f))
+
+
+def random_moderated_population(rng, kind):
+    """Random population (d in 1..5, n in 1..300) and a moderator of ``kind``.
+
+    ``kind`` is "halfspace", "polytope" (1-4 faces, origin strictly benign)
+    or "trivial". Offsets sit among the ideal points' scores, so every
+    response case occurs across draws.
+    """
+    d = int(rng.integers(1, 6))
+    n = int(rng.integers(1, 301))
+    X = rng.normal(scale=1.5, size=(n, d))
+    costs = rng.uniform(0.2, 2.0, n)
+    e = rng.normal(size=d)
+    if np.linalg.norm(e) < 1e-6:
+        e[0] = 1.0
+    pop = Population.from_arrays(X, costs, e)
+    if kind == "trivial":
+        return pop, TRIVIAL
+    ideal = X + e / (2.0 * costs)[:, None]
+    m = 1 if kind == "halfspace" else int(rng.integers(1, 5))
+    faces = []
+    for _ in range(m):
+        w = rng.normal(size=d)
+        if np.linalg.norm(w) < 1e-6:
+            w[0] = 1.0
+        b = -float(np.quantile(ideal @ w, rng.uniform(0.2, 0.9)))
+        if kind == "polytope":
+            b = min(b, -0.2)
+        faces.append((w, b))
+    if kind == "halfspace":
+        return pop, LinearModerator(*faces[0])
+    return pop, PolytopeModerator(tuple(faces))

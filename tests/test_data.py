@@ -118,3 +118,42 @@ class TestLoadErrors:
         path = self._write(tmp_path, "# d = 2\n")
         with pytest.raises(DatasetFormatError, match="header"):
             load(path)
+
+    def test_nonpositive_cost_reports_line_number(self, tmp_path):
+        path = self._write(
+            tmp_path, "# d = 2\n# trend = 1,0\nx_0,x_1,c\n0.0,0.0,1.0\n0.0,0.0,-1.0\n"
+        )
+        with pytest.raises(DatasetFormatError, match="line 5: cost"):
+            load(path)
+
+    def test_nonfinite_cost_reports_line_number(self, tmp_path):
+        path = self._write(
+            tmp_path, "# d = 2\n# trend = 1,0\nx_0,x_1,c\n0.0,0.0,1.0\n0.0,0.0,1.0\n1.0,1.0,inf\n"
+        )
+        with pytest.raises(DatasetFormatError, match="line 6: cost"):
+            load(path)
+
+    def test_nonfinite_feature_reports_line_number(self, tmp_path):
+        path = self._write(
+            tmp_path, "# d = 2\n# trend = 1,0\nx_0,x_1,c\n0.0,nan,1.0\n0.0,0.0,-1.0\n"
+        )
+        with pytest.raises(DatasetFormatError, match="line 4: features"):
+            load(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        save(generate(MixtureSpec(seed=3)), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "# n = 500" and len(lines) == 4 + 500
+        path.write_text("\n".join(lines[: 4 + 399]) + "\n")
+        with pytest.raises(DatasetFormatError, match="n = 500 disagrees with 399"):
+            load(path)
+
+    def test_repeated_n_footer_loads(self, tmp_path):
+        pop = generate(MixtureSpec(d=2, n=20, k=2, seed=5))
+        path = tmp_path / "pop.csv"
+        save(pop, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("# d = 2\n# n = 20\n# seed = 5\n")
+        assert load(path) == pop
+

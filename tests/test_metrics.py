@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _helpers import random_moderated_population
 from modbalance import (
     LinearModerator,
     Population,
@@ -11,6 +12,7 @@ from modbalance import (
     TRIVIAL,
     UserProfile,
     baseline_distortion,
+    best_response,
     distortion,
     dm_closed_form_linear,
     dm_population,
@@ -23,6 +25,11 @@ from modbalance import (
 E10 = Trend([1.0, 0.0])
 U_QUARTER = UserProfile([-0.25, 0.0], 0.5)
 F_AXIS = LinearModerator([1.0, 0.0], 0.0)
+
+
+def quarter_population(n):
+    """n copies of U_QUARTER under the trend E10."""
+    return Population.from_arrays(np.tile(U_QUARTER.x, (n, 1)), [U_QUARTER.c] * n, E10.e)
 
 
 def random_instance(rng, n=None, d=None):
@@ -117,17 +124,17 @@ class TestDmPopulation:
         assert dm_population(pop, TRIVIAL) == pytest.approx(0.0)
 
     def test_single_user(self):
-        pop = Population(users=(U_QUARTER,), trend=E10)
+        pop = quarter_population(1)
         assert dm_population(pop, F_AXIS) == pytest.approx(0.9375)
 
     def test_additivity(self):
-        pop = Population(users=(U_QUARTER, U_QUARTER), trend=E10)
+        pop = quarter_population(2)
         assert dm_population(pop, F_AXIS) == pytest.approx(1.875)
 
 
 class TestClosedForm:
     def test_single_user_matches_definition(self):
-        pop = Population(users=(U_QUARTER,), trend=E10)
+        pop = quarter_population(1)
         assert dm_closed_form_linear(pop, F_AXIS) == pytest.approx(0.9375)
 
     def test_scale_invariance(self):
@@ -165,15 +172,14 @@ class TestMetrics:
         assert m.filtered_count == 0
 
     def test_single_stay_filtered_user(self):
-        u = UserProfile([0.1, 0.0], 0.5)
-        pop = Population(users=(u,), trend=E10)
+        pop = Population.from_arrays([[0.1, 0.0]], [0.5], E10.e)
         m = metrics(pop, F_AXIS)
         assert m.fos_retained == 0.0
         assert m.filtered_count == 1
         assert m.fos_desired == 0.0
 
     def test_single_projected_user(self):
-        pop = Population(users=(U_QUARTER,), trend=E10)
+        pop = quarter_population(1)
         m = metrics(pop, F_AXIS)
         assert m.fos_desired == 0.0
         assert m.fos_retained == 1.0
@@ -196,6 +202,37 @@ class TestMetrics:
         m = metrics(pop, box)
         assert m.n == 3
         assert m.dm == pytest.approx(dm_population(pop, box))
+
+    @pytest.mark.parametrize("kind", ["halfspace", "polytope", "trivial"])
+    def test_matches_per_user_loop(self, kind):
+        rng = np.random.default_rng({"halfspace": 51, "polytope": 52, "trivial": 53}[kind])
+        for _ in range(40):
+            pop, f = random_moderated_population(rng, kind)
+            m = metrics(pop, f)
+            e = pop.trend
+            results = [best_response(u, e, f) for u in pop.users]
+            desired = sum(f.is_benign(ideal_point(u, e)) for u in pop.users)
+            filtered = sum(r.filtered for r in results)
+            dm = dm_population(pop, f)
+            assert (m.n, m.filtered_count) == (pop.n, filtered)
+            assert m.fos_desired == desired / pop.n
+            assert m.fos_retained == (pop.n - filtered) / pop.n
+            assert abs(m.dm - dm) <= 1e-9 * max(1.0, abs(dm))
+
+    def test_builds_no_user_objects(self, tmp_path, monkeypatch):
+        from modbalance import MixtureSpec, generate, load, save
+        from modbalance import model
+
+        def refuse(self):
+            raise AssertionError("a UserProfile was built")
+
+        monkeypatch.setattr(model.UserProfile, "__post_init__", refuse)
+        pop = generate(MixtureSpec(n=50, k=5, seed=1))
+        save(pop, tmp_path / "pop.csv")
+        back = load(tmp_path / "pop.csv")
+        box = PolytopeModerator(((np.eye(5)[0], -0.5), (np.eye(5)[1], -0.5)))
+        for f in (LinearModerator(np.eye(5)[0], -0.5), box, TRIVIAL):
+            metrics(back, f)
 
 
 class TestGeneralizationGap:
@@ -227,8 +264,9 @@ class TestGeneralizationGap:
         gaps = []
         for s in range(20):
             both = generate(MixtureSpec(n=1000, k=5, seed=s))
-            train = Population(users=both.users[::2], trend=both.trend)
-            test = Population(users=both.users[1::2], trend=both.trend)
+            X, costs = both.feature_matrix, both.costs
+            train = Population.from_arrays(X[::2], costs[::2], both.trend.e)
+            test = Population.from_arrays(X[1::2], costs[1::2], both.trend.e)
             dm_gap, fos_gap = generalization_gap(train, test, f)
             assert np.isfinite(dm_gap) and np.isfinite(fos_gap)
             gaps.append((dm_gap, fos_gap))

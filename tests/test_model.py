@@ -14,6 +14,7 @@ from modbalance import (
     TRIVIAL,
     UserProfile,
     best_response,
+    best_responses,
     ideal_point,
     project_hyperplane,
     project_polytope,
@@ -23,7 +24,7 @@ from modbalance import (
 E10 = Trend([1.0, 0.0])
 
 
-from _helpers import grid_max_utility, in_strategic_regime
+from _helpers import grid_max_utility, in_strategic_regime, random_moderated_population
 
 
 class TestTypes:
@@ -47,16 +48,68 @@ class TestTypes:
 
     def test_population_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Population(users=(UserProfile([1.0], 1.0),), trend=E10)
+            Population.from_arrays([[1.0]], [1.0], E10.e)
 
     def test_population_nonempty(self):
         with pytest.raises(ValueError):
-            Population(users=(), trend=E10)
+            Population.from_arrays(np.empty((0, 2)), [], E10.e)
 
     def test_inputs_are_immutable(self):
         u = UserProfile([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             u.x[0] = 5.0
+
+
+class TestPopulation:
+    X = np.array([[1.0, 2.0], [-0.5, 0.25], [3.0, -1.0]])
+    costs = np.array([0.5, 1.0, 2.0])
+
+    def test_arrays_are_read_only(self):
+        pop = Population.from_arrays(self.X, self.costs, E10.e)
+        with pytest.raises(ValueError):
+            pop.feature_matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            pop.costs[0] = 5.0
+
+    def test_from_arrays_copies_its_inputs(self):
+        X, costs, e = self.X.copy(), self.costs.copy(), E10.e.copy()
+        pop = Population.from_arrays(X, costs, e)
+        before = Population.from_arrays(self.X, self.costs, E10.e)
+        X[0, 0], costs[0], e[1] = 9.0, 9.0, 9.0
+        assert pop == before
+        np.testing.assert_array_equal(pop.feature_matrix, self.X)
+        np.testing.assert_array_equal(pop.costs, self.costs)
+
+    @pytest.mark.parametrize(
+        "X, costs",
+        [
+            (np.empty((0, 2)), []),  # empty
+            (np.zeros((3, 3)), [1.0, 1.0, 1.0]),  # dimension mismatch with the trend
+            (np.zeros(2), [1.0]),  # not a matrix
+            (np.zeros((3, 2)), [1.0, 1.0]),  # one cost short
+            (np.zeros((3, 2)), [1.0, 0.0, 1.0]),  # zero cost
+            (np.zeros((3, 2)), [1.0, 1.0, -1.0]),  # negative cost
+            (np.zeros((3, 2)), [1.0, np.nan, 1.0]),  # nan cost
+            (np.zeros((3, 2)), [np.inf, 1.0, 1.0]),  # infinite cost
+            (np.array([[0.0, 0.0], [np.nan, 0.0]]), [1.0, 1.0]),  # nan feature
+            (np.array([[0.0, -np.inf], [0.0, 0.0]]), [1.0, 1.0]),  # infinite feature
+        ],
+    )
+    def test_bad_arrays_rejected(self, X, costs):
+        with pytest.raises(ValueError):
+            Population.from_arrays(X, costs, E10.e)
+
+    def test_users_view_matches_arrays(self):
+        pop = Population.from_arrays(self.X, self.costs, E10.e)
+        assert pop.n == 3 and pop.d == 2
+        assert pop.users == tuple(UserProfile(x, c) for x, c in zip(self.X, self.costs))
+
+    def test_equality_is_arraywise(self):
+        a = Population.from_arrays(self.X, self.costs, E10.e)
+        assert a == Population.from_arrays(self.X.tolist(), list(self.costs), [1.0, 0.0])
+        assert a != Population.from_arrays(self.X, self.costs * 2.0, E10.e)
+        assert a != Population.from_arrays(self.X[:2], self.costs[:2], E10.e)
+        assert a != Population.from_arrays(self.X, self.costs, [0.0, 1.0])
 
 
 class TestIdealPoint:
@@ -299,3 +352,43 @@ class TestBestResponse:
         r = best_response(inside, E10, box)
         assert r.case_tag is ResponseCase.PROJECTED
         np.testing.assert_allclose(r.z_star, [1.0, 0.0])
+
+
+class TestBestResponses:
+    """The array pass against the per-user reference ``best_response``."""
+
+    @pytest.mark.parametrize("kind", ["halfspace", "polytope", "trivial"])
+    def test_matches_per_user_reference(self, kind):
+        rng = np.random.default_rng({"halfspace": 41, "polytope": 42, "trivial": 43}[kind])
+        seen = set()
+        for _ in range(40):
+            pop, f = random_moderated_population(rng, kind)
+            Z, cases = best_responses(pop, f)
+            ref = [best_response(u, pop.trend, f) for u in pop.users]
+            assert Z.shape == (pop.n, pop.d) and cases.shape == (pop.n,)
+            assert [ResponseCase(c) for c in cases] == [r.case_tag for r in ref]
+            np.testing.assert_allclose(Z, np.array([r.z_star for r in ref]), rtol=0, atol=1e-12)
+            seen.update(r.case_tag for r in ref)
+        expected = {ResponseCase.UNCONSTRAINED} if kind == "trivial" else set(ResponseCase)
+        assert seen == expected
+
+    def test_hand_cases(self):
+        # one user per case against the halfspace x_0 <= 0 (see TestBestResponse)
+        f = LinearModerator([1.0, 0.0], 0.0)
+        rows = [([-5.0, 0.0], 0.5), ([-0.25, 0.0], 0.5), ([0.1, 0.0], 0.5)]
+        pop = Population.from_arrays([x for x, _ in rows], [c for _, c in rows], E10.e)
+        Z, cases = best_responses(pop, f)
+        assert list(cases) == [
+            ResponseCase.UNCONSTRAINED, ResponseCase.PROJECTED, ResponseCase.STAY_FILTERED
+        ]
+        np.testing.assert_allclose(Z, [[-4.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
+        cross = Population.from_arrays([[0.5, 0.1]], [0.5], E10.e)
+        Z, cases = best_responses(cross, LinearModerator([0.0, 1.0], 0.0))
+        assert cases[0] == ResponseCase.CROSS_TO_BOUNDARY
+        np.testing.assert_allclose(Z, [[1.5, 0.0]])
+
+    def test_empty_polytope_region_detected(self):
+        empty = PolytopeModerator((([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)))
+        pop = Population.from_arrays([[0.0, 0.0]], [0.5], E10.e)
+        with pytest.raises(EmptyBenignRegionError):
+            best_responses(pop, empty)

@@ -11,8 +11,6 @@ from modbalance import (
     NonPositiveAError,
     Population,
     SolverConfig,
-    Trend,
-    UserProfile,
     calibrate_lambda,
     derive_seed,
     dm_closed_form_linear,
@@ -184,8 +182,7 @@ class TestSurrogateGradient:
         assert np.linalg.norm(np.hstack([gw, gb])) <= 1e-3
 
     def test_middle_branch_b_derivative(self):
-        u = UserProfile([0.0, 0.0], 0.5)
-        pop = Population(users=(u,), trend=Trend([1.0, 0.0]))
+        pop = Population.from_arrays([[0.0, 0.0]], [0.5], [1.0, 0.0])
         w = np.array([1.0, 0.0])
         b = -0.3  # a = 1, y = b + 1 = 0.7 inside [(1-eps)a, a] = [0.1, 1]
         cfg = SolverConfig(epsilon=0.9, lam=3.0)
