@@ -35,9 +35,9 @@ from .metrics import (
     dm_closed_form_linear,
     dm_population,
     generalization_gap,
+    halfspace_scores,
     metrics,
     mitigation,
-    mitigation_terms_linear,
 )
 from .solver import (
     CalibrationOutcome,

@@ -57,6 +57,7 @@ def _fields_schema(cls) -> dict:
 
 _MIXTURE = _fields_schema(MixtureSpec)
 _SOLVER = _fields_schema(SolverConfig)
+_ORACLE = _fields_schema(OracleConfig)  # its cap K is the max_violations key
 
 _SCHEMAS = {
     "generate": {**_MIXTURE, "seed": ("int", 0), "out": ("str", None)},
@@ -72,7 +73,7 @@ _SCHEMAS = {
         "data": ("str", None),
         "out": ("str", None),
         "max_violations": ("int", None),
-        "delta": ("float", 1e-3),
+        "delta": ("float", CalibrationTarget.delta),
         "seed": ("int", 0),
         **_SOLVER,
     },
@@ -90,11 +91,8 @@ _SCHEMAS = {
         "out": ("str", None),
         "mode": ("str", "constrained"),
         "lam": ("float", 1.0),
-        "max_violations": ("int", 0),
-        "angle_steps": ("int", 64),
-        "offset_steps": ("int", 64),
-        "eps_slack": ("float", 1e-9),
-        "use_candidates": ("bool", True),
+        "max_violations": _ORACLE["K"],
+        **{key: spec for key, spec in _ORACLE.items() if key != "K"},
     },
     "toy": {
         "out": ("str", None),
@@ -319,11 +317,7 @@ def _write_sweep_plot(path: str, lambdas: list[float], rows: list[tuple]) -> Non
 def _cmd_oracle(params: dict) -> int:
     pop = data_mod.load(params["data"])
     cfg = OracleConfig(
-        angle_steps=params["angle_steps"],
-        offset_steps=params["offset_steps"],
-        K=params["max_violations"],
-        eps_slack=params["eps_slack"],
-        use_candidates=params["use_candidates"],
+        **{key: params[key] for key in _ORACLE if key != "K"}, K=params["max_violations"]
     )
     mode = params["mode"]
     if mode == "penalized":

@@ -8,6 +8,13 @@ moderator can only shorten the detour a benign user takes chasing the trend.
 ``metrics`` is one array pass over :func:`~modbalance.model.best_responses`.
 The per-user functions (``distortion``, ``mitigation``, ``dm_population``)
 are the by-definition references it is checked against.
+
+Halfspaces also have a closed form that simulates no responses:
+``halfspace_scores`` gives DM, the squared ideal-point hinge penalty and the
+violation count of a batch of halfspaces. It is the one place that scores a
+halfspace: ``dm_closed_form_linear``, the solver's exact penalized objective
+and the d = 2 oracles all call it, and like ``best_responses`` it counts a
+score <= ``BENIGN_TOL`` as benign.
 """
 
 from __future__ import annotations
@@ -79,29 +86,54 @@ def dm_population(pop: Population, f: Moderator) -> float:
     return sum(mitigation(u, e, f) for u in pop.users)
 
 
-def mitigation_terms_linear(
-    X: np.ndarray, costs: np.ndarray, e: np.ndarray, w: np.ndarray, b: float
-) -> np.ndarray:
-    """Per-user mitigation against a halfspace, vectorized closed form.
+# Candidates per block of ``halfspace_scores``: no (n, block) temporary holds
+# more than about this many entries, whatever n is.
+_SCORE_BLOCK_ENTRIES = 2**18
 
-    A user mitigates iff their origin is benign while their ideal point is
-    not; the saving is (s^2 - v^2)/|w|^2 with v = w.x + b the origin score
-    and s = w.e/(2c) the trend advance along the normal.
+
+def halfspace_scores(
+    pop: Population, W: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mitigation, squared-hinge penalty and violation count of halfspaces.
+
+    Row k of ``W`` (k, d) and entry k of ``B`` (k,) are the moderator
+    {z : w.z + b <= 0}. With v = w.x + b the origin score, s = w.e/(2c) the
+    trend advance along the normal and y = v + s the ideal point's score:
+
+    - DM is the sum of (s^2 - v^2)/|w|^2 over users whose origin is benign
+      (v <= BENIGN_TOL) while their ideal point is not (y > BENIGN_TOL);
+    - the penalty is the sum of max(0, y)^2;
+    - the violation count is #{y > BENIGN_TOL}.
+
+    Candidates are scored in blocks, so memory stays bounded for any n.
     """
-    v = X @ w + b
-    s = float(np.dot(w, e)) / (2.0 * costs)
-    active = (v <= BENIGN_TOL) & (v + s > BENIGN_TOL)
-    out = np.zeros_like(v)
-    out[active] = (s[active] ** 2 - v[active] ** 2) / float(np.dot(w, w))
-    return out
+    X, e = pop.feature_matrix, pop.trend.e
+    W = np.asarray(W, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    two_costs = 2.0 * pop.costs[:, None]
+    k = W.shape[0]
+    dm = np.empty(k)
+    penalty = np.empty(k)
+    violations = np.empty(k, dtype=np.int64)
+    block = max(1, _SCORE_BLOCK_ENTRIES // pop.n)
+    for start in range(0, k, block):
+        rows = slice(start, start + block)
+        Wb = W[rows]
+        V = X @ Wb.T + B[rows]
+        S = (Wb @ e) / two_costs
+        Y = V + S
+        active = (V <= BENIGN_TOL) & (Y > BENIGN_TOL)
+        dm[rows] = np.sum(np.where(active, S * S - V * V, 0.0), axis=0) / np.sum(Wb * Wb, axis=1)
+        hinge = np.maximum(Y, 0.0)
+        penalty[rows] = np.sum(hinge * hinge, axis=0)
+        violations[rows] = np.count_nonzero(Y > BENIGN_TOL, axis=0)
+    return dm, penalty, violations
 
 
 def dm_closed_form_linear(pop: Population, f: LinearModerator) -> float:
     """Total mitigation of a halfspace moderator without simulating responses."""
-    terms = mitigation_terms_linear(
-        pop.feature_matrix, pop.costs, pop.trend.e, f.w, f.b
-    )
-    return float(np.sum(terms))
+    dm, _, _ = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
+    return float(dm[0])
 
 
 def metrics(pop: Population, f: Moderator) -> MetricReport:

@@ -37,15 +37,18 @@ class IllConditionedError(np.linalg.LinAlgError):
     """An active set's stacked normals are rank-deficient."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite in every coordinate")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +125,8 @@ class Population:
         if np.any(bad_c):
             i = int(np.argmax(bad_c))
             raise ValueError(f"user {i}: manipulation cost c must be positive, got {costs[i]}")
-        X.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "feature_matrix", X)
-        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "feature_matrix", _read_only(X))
+        object.__setattr__(self, "costs", _read_only(costs))
 
     @classmethod
     def from_arrays(cls, features, costs, trend) -> "Population":
@@ -194,9 +195,15 @@ class LinearModerator(Moderator):
 
 @dataclass(frozen=True, eq=False)
 class PolytopeModerator(Moderator):
-    """Intersection of halfspaces; benign iff every w_j.z + b_j <= 0."""
+    """Intersection of halfspaces; benign iff every w_j.z + b_j <= 0.
+
+    ``normals`` (m, d) and ``offsets`` (m,) are the faces stacked once, at
+    construction, as read-only arrays.
+    """
 
     halfspaces: tuple[tuple[np.ndarray, float], ...]
+    normals: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         faces = []
@@ -212,18 +219,12 @@ class PolytopeModerator(Moderator):
                 f"at most {MAX_POLYTOPE_FACES} halfspaces supported, got {len(faces)}"
             )
         object.__setattr__(self, "halfspaces", tuple(faces))
+        object.__setattr__(self, "normals", _read_only(np.vstack([w for w, _ in faces])))
+        object.__setattr__(self, "offsets", _read_only(np.array([b for _, b in faces])))
 
     @property
     def m(self) -> int:
         return len(self.halfspaces)
-
-    @property
-    def normals(self) -> np.ndarray:
-        return np.vstack([w for w, _ in self.halfspaces])
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.array([b for _, b in self.halfspaces])
 
     def score(self, z) -> float:
         return float(np.max(self.normals @ np.asarray(z, dtype=np.float64) + self.offsets))

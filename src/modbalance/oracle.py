@@ -4,8 +4,10 @@ Exact optimization over halfspaces is combinatorially hard, but in the plane
 a finite candidate set suffices for verification work: a direction/offset
 grid, boundaries snapped through every data point and ideal point, and (for
 exactness on point-incident optima) boundaries through every pair drawn from
-the data and ideal points. Candidates are scored in closed form, so the whole
-sweep is a few matrix products.
+the data and ideal points. The candidate set is built from arrays and scored
+by :func:`~modbalance.metrics.halfspace_scores`, the closed form every other
+halfspace score in the package uses, so the oracles count mitigation and
+violations with the same ``BENIGN_TOL`` as ``metrics`` and ``violation_count``.
 
 The candidate grids are nested under doubling of their step counts, so
 refining the search can only improve the reported optimum.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import metrics
+from .metrics import halfspace_scores, metrics
 from .model import BENIGN_TOL, LinearModerator, Population
 from .solver import SolveResult
 
@@ -43,17 +45,17 @@ class NoFeasibleCandidateError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search resolution, the violation cap K, and the boundary slack.
+    """Search resolution and the violation cap K.
 
-    ``eps_slack`` relaxes the strict side of the mitigation index set, so a
-    boundary grazing an ideal point is scored stably. ``use_candidates``
-    adds pairwise point-incident boundaries on top of the grid.
+    ``use_candidates`` adds pairwise point-incident boundaries on top of the
+    grid. Candidates are scored by :func:`~modbalance.metrics.halfspace_scores`,
+    so an ideal point counts as a violation exactly when its score exceeds
+    ``BENIGN_TOL``, as everywhere else in the package.
     """
 
     angle_steps: int = 64
     offset_steps: int = 64
     K: int = 0
-    eps_slack: float = 1e-9
     use_candidates: bool = True
 
     def __post_init__(self):
@@ -61,77 +63,41 @@ class OracleConfig:
             raise ValueError("angle_steps and offset_steps must be at least 8")
         if self.K < 0:
             raise ValueError("K must be nonnegative")
-        if self.eps_slack <= 0:
-            raise ValueError("eps_slack must be positive")
 
 
 def _candidates(pop: Population, cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of candidate (w, b) rows, unit-normalized normals."""
+    """Stack of candidate (w, b) rows, unit-normalized normals.
+
+    Per grid direction: the offset grid, then boundaries through each point,
+    then through each ideal point. Then, if enabled, the boundary through
+    each pair of distinct points (data and ideal), once per orientation.
+    """
     X = pop.feature_matrix
     ideal = X + pop.trend.e / (2.0 * pop.costs)[:, None]
-    ws, bs = [], []
 
     thetas = 2.0 * np.pi * np.arange(cfg.angle_steps) / cfg.angle_steps
-    for theta in thetas:
-        w = np.array([np.cos(theta), np.sin(theta)])
-        proj = X @ w
-        lo, hi = float(np.min(proj)), float(np.max(proj))
-        fractions = np.arange(cfg.offset_steps + 1) / cfg.offset_steps
-        offsets = lo + (hi - lo) * fractions
-        # boundaries snapped exactly through each point and each ideal point
-        incident = np.concatenate([proj, ideal @ w])
-        for t in np.concatenate([offsets, incident]):
-            ws.append(w)
-            bs.append(-float(t))
+    directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    proj = directions @ X.T
+    lo = np.min(proj, axis=1, keepdims=True)
+    hi = np.max(proj, axis=1, keepdims=True)
+    fractions = np.arange(cfg.offset_steps + 1) / cfg.offset_steps
+    offsets = np.hstack([lo + (hi - lo) * fractions, proj, directions @ ideal.T])
+    W = np.repeat(directions, offsets.shape[1], axis=0)
+    B = -offsets.ravel()
 
     if cfg.use_candidates:
         points = np.vstack([X, ideal])
-        k = points.shape[0]
-        for i in range(k):
-            for j in range(i + 1, k):
-                direction = points[j] - points[i]
-                norm = float(np.linalg.norm(direction))
-                if norm < 1e-12:
-                    continue
-                w = np.array([direction[1], -direction[0]]) / norm
-                b = -float(np.dot(w, points[i]))
-                ws.append(w)
-                bs.append(b)
-                ws.append(-w)
-                bs.append(-b)
+        i, j = np.triu_indices(points.shape[0], k=1)
+        direction = points[j] - points[i]
+        norm = np.linalg.norm(direction, axis=1)
+        keep = norm >= 1e-12
+        w = np.stack([direction[keep, 1], -direction[keep, 0]], axis=1) / norm[keep, None]
+        b = -np.sum(w * points[i[keep]], axis=1)
+        # each boundary once per orientation: (w, b), then (-w, -b)
+        W = np.vstack([W, np.stack([w, -w], axis=1).reshape(-1, 2)])
+        B = np.concatenate([B, np.stack([b, -b], axis=1).ravel()])
 
-    return np.vstack(ws), np.array(bs)
-
-
-def _evaluate(
-    pop: Population, W: np.ndarray, B: np.ndarray, eps_slack: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mitigation, squared-hinge penalty, and violation count per candidate."""
-    X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
-    n_candidates = W.shape[0]
-    dm = np.empty(n_candidates)
-    penalty = np.empty(n_candidates)
-    violations = np.empty(n_candidates, dtype=np.int64)
-    half_inv_cost = 1.0 / (2.0 * costs)
-
-    chunk = 4096
-    for start in range(0, n_candidates, chunk):
-        Wc = W[start : start + chunk]
-        Bc = B[start : start + chunk]
-        V = X @ Wc.T + Bc[None, :]
-        S = np.outer(half_inv_cost, Wc @ e)
-        Y = V + S
-        active = (V <= BENIGN_TOL) & (Y > eps_slack)
-        wnorm2 = np.sum(Wc**2, axis=1)
-        dm[start : start + chunk] = (
-            np.sum(np.where(active, S**2 - V**2, 0.0), axis=0) / wnorm2
-        )
-        hinge = np.maximum(Y, 0.0)
-        penalty[start : start + chunk] = np.sum(hinge**2, axis=0)
-        # boundary-incident candidates graze ideal points to within roundoff;
-        # the slack keeps their count stable under re-evaluation
-        violations[start : start + chunk] = np.sum(Y > eps_slack, axis=0)
-    return dm, penalty, violations
+    return W, B
 
 
 def _require_plane(pop: Population):
@@ -155,7 +121,7 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
     """Best mitigation over all candidates meeting the violation cap K."""
     _require_plane(pop)
     W, B = _candidates(pop, cfg)
-    dm, _, violations = _evaluate(pop, W, B, cfg.eps_slack)
+    dm, _, violations = halfspace_scores(pop, W, B)
     feasible = violations <= cfg.K
     if not np.any(feasible):
         least = int(np.argmin(violations))
@@ -177,7 +143,7 @@ def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> Solve
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     W, B = _candidates(pop, cfg)
-    dm, penalty, _ = _evaluate(pop, W, B, cfg.eps_slack)
+    dm, penalty, _ = halfspace_scores(pop, W, B)
     objective = -dm + lam * penalty
     best = int(np.argmin(objective))
     return _build_result(pop, W[best], B[best], objective[best], dm[best], W.shape[0])

@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import MetricReport, dm_closed_form_linear, metrics
-from .model import LinearModerator, Population
+from .metrics import MetricReport, dm_closed_form_linear, halfspace_scores, metrics
+from .model import BENIGN_TOL, LinearModerator, Population
 
 __all__ = [
     "SolverConfig",
@@ -250,13 +250,14 @@ def violation_vector(pop: Population, f: LinearModerator) -> np.ndarray:
 
 
 def violation_count(g: np.ndarray) -> int:
-    """Number of users whose ideal point is filtered (the l0 of the hinges)."""
-    return int(np.count_nonzero(g > 0))
+    """Number of users whose ideal point is filtered: hinges above BENIGN_TOL."""
+    return int(np.count_nonzero(g > BENIGN_TOL))
 
 
 def penalty_value(g: np.ndarray) -> float:
-    """Squared-l2 soft penalty of the hinge vector."""
-    return float(np.dot(g, g))
+    """Squared-l2 soft penalty of the hinge vector, summed as
+    ``halfspace_scores`` sums it."""
+    return float(np.sum(g * g))
 
 
 def lambda_max(pop: Population) -> float:
@@ -360,7 +361,8 @@ _POLISH_MAX_POLLS = 1000
 
 def _penalized_objective(pop: Population, f: LinearModerator, lam: float) -> float:
     """Exact penalized objective: -DM + lam * squared ideal-point hinges."""
-    return -dm_closed_form_linear(pop, f) + lam * penalty_value(violation_vector(pop, f))
+    dm, penalty, _ = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
+    return float(-dm[0] + lam * penalty[0])
 
 
 def _exact_offset(p: np.ndarray, s: np.ndarray, lam: float) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Shared test oracles: exhaustive utility grids, regime sampling, random
-moderated populations, and the exact penalized objective."""
+moderated populations, the exact penalized objective, and the oracle's
+candidate set built by nested loops."""
 
 import numpy as np
 
@@ -128,3 +129,38 @@ def random_moderated_population(rng, kind):
     if kind == "halfspace":
         return pop, LinearModerator(*faces[0])
     return pop, PolytopeModerator(tuple(faces))
+
+
+def loop_candidates(pop, cfg):
+    """The d = 2 oracle's candidate (w, b) rows, built one by one by definition.
+
+    Per grid direction: the offset grid, then boundaries through each point,
+    then through each ideal point. Then, if ``cfg.use_candidates``, the
+    boundary through each pair of points (data and ideal) at least 1e-12
+    apart, as (w, b) followed by (-w, -b).
+    """
+    X = pop.feature_matrix
+    ideal = X + pop.trend.e / (2.0 * pop.costs)[:, None]
+    ws, bs = [], []
+    for a in range(cfg.angle_steps):
+        theta = 2.0 * np.pi * a / cfg.angle_steps
+        w = np.array([np.cos(theta), np.sin(theta)])
+        proj = X @ w
+        lo, hi = float(np.min(proj)), float(np.max(proj))
+        offsets = [lo + (hi - lo) * s / cfg.offset_steps for s in range(cfg.offset_steps + 1)]
+        for t in offsets + list(proj) + list(ideal @ w):
+            ws.append(w)
+            bs.append(-float(t))
+    if cfg.use_candidates:
+        points = np.vstack([X, ideal])
+        for i in range(points.shape[0]):
+            for j in range(i + 1, points.shape[0]):
+                direction = points[j] - points[i]
+                norm = float(np.linalg.norm(direction))
+                if norm < 1e-12:
+                    continue
+                w = np.array([direction[1], -direction[0]]) / norm
+                b = -float(np.dot(w, points[i]))
+                ws.extend([w, -w])
+                bs.extend([b, -b])
+    return np.vstack(ws), np.array(bs)

@@ -1,9 +1,12 @@
 """End-to-end CLI runs: files, footers, determinism, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from modbalance.cli import SWEEP_HEADER, run
+from modbalance import CalibrationTarget, MixtureSpec, OracleConfig, SolverConfig
+from modbalance.cli import _SCHEMAS, SWEEP_HEADER, run
 
 
 def read(path):
@@ -32,6 +35,38 @@ def small_pop(tmp_path):
               "--out", str(path)])
     assert rc == 0
     return path
+
+
+def assert_footer_reruns(tmp_path, command, rc, *outputs):
+    """Delete ``outputs`` and re-run ``command`` from the first one's footer:
+    the exit code is ``rc`` again and every output comes back byte-identical."""
+    first = [p.read_bytes() for p in outputs]
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text(footer_config(first[0].decode()))
+    for p in outputs:
+        p.unlink()
+    assert run([command, "--config", str(cfg)]) == rc
+    assert [p.read_bytes() for p in outputs] == first
+
+
+class TestDefaults:
+    def test_every_default_is_its_dataclass_default(self):
+        def default(cls, name):
+            return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+        sources = [(MixtureSpec, "generate"), (MixtureSpec, "sweep"),
+                   (SolverConfig, "solve"), (SolverConfig, "calibrate"),
+                   (SolverConfig, "sweep"), (OracleConfig, "oracle")]
+        for cls, command in sources:
+            for f in dataclasses.fields(cls):
+                key = "max_violations" if cls is OracleConfig and f.name == "K" else f.name
+                if key in ("seed", "lam") and command != "generate":
+                    continue
+                assert _SCHEMAS[command][key][1] == f.default, (command, key)
+        assert _SCHEMAS["calibrate"]["delta"][1] == default(CalibrationTarget, "delta")
+        assert _SCHEMAS["solve"]["lam"][1] == default(SolverConfig, "lam")
+        for command in ("solve", "calibrate", "sweep"):
+            assert _SCHEMAS[command]["seed"][1] == default(SolverConfig, "seed")
 
 
 class TestGenerate:
@@ -86,6 +121,14 @@ class TestSolve:
         assert out.read_bytes() == first
 
 
+    def test_footer_reruns_the_job(self, tmp_path, small_pop):
+        out = tmp_path / "fit.csv"
+        assert run(["solve", "--data", str(small_pop), "--out", str(out),
+                    "--lambda", "2.5", "--restarts", "2", "--max-iters", "120",
+                    "--seed", "4"]) == 0
+        assert_footer_reruns(tmp_path, "solve", 0, out, tmp_path / "fit.moderator.csv")
+
+
 class TestCalibrate:
     def test_feasible_run_exits_zero(self, tmp_path, small_pop):
         out = tmp_path / "cal.csv"
@@ -103,6 +146,15 @@ class TestCalibrate:
                   "--learning-rate", "1e-12"])
         assert rc == 3
         assert ",false," in data_rows(read(out))[1]
+
+
+    @pytest.mark.parametrize("cap, rc", [(15, 0), (10, 3)], ids=["feasible", "infeasible"])
+    def test_footer_reruns_the_job(self, tmp_path, small_pop, cap, rc):
+        out = tmp_path / "cal.csv"
+        assert run(["calibrate", "--data", str(small_pop), "--out", str(out),
+                    "--max-violations", str(cap), "--restarts", "1", "--max-iters", "50",
+                    "--delta", "0.5"]) == rc
+        assert_footer_reruns(tmp_path, "calibrate", rc, out)
 
 
 class TestSweep:
@@ -157,6 +209,16 @@ class TestOracleCommand:
                   "--offset-steps", "16"])
         assert rc == 0
         assert data_rows(read(out))[1].startswith("penalized,")
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-violations", "4", "--angle-steps", "16", "--no-use-candidates"],
+        ["--mode", "penalized", "--lambda", "0.3", "--offset-steps", "24"],
+    ], ids=["constrained", "penalized"])
+    def test_footer_reruns_the_job(self, tmp_path, small_pop, flags):
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "--data", str(small_pop), "--out", str(out), *flags]) == 0
+        assert "eps_slack" not in read(out)
+        assert_footer_reruns(tmp_path, "oracle", 0, out)
 
     def test_rejects_bad_mode(self, tmp_path, small_pop):
         rc = run(["oracle", "--data", str(small_pop), "--out",

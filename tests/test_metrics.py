@@ -1,10 +1,13 @@
 """Distortion, mitigation, closed forms, and the population report."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from _helpers import random_moderated_population
 from modbalance import (
+    BENIGN_TOL,
     LinearModerator,
     Population,
     PolytopeModerator,
@@ -17,10 +20,14 @@ from modbalance import (
     dm_closed_form_linear,
     dm_population,
     generalization_gap,
+    halfspace_scores,
     ideal_point,
     metrics,
     mitigation,
 )
+
+# the module, which the package's ``metrics`` function shadows as an attribute
+metrics_mod = importlib.import_module("modbalance.metrics")
 
 E10 = Trend([1.0, 0.0])
 U_QUARTER = UserProfile([-0.25, 0.0], 0.5)
@@ -159,6 +166,67 @@ class TestClosedForm:
             lhs = dm_closed_form_linear(pop, f)
             rhs = dm_population(pop, f)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
+
+
+def per_user_scores(pop, W, B):
+    """DM, squared-hinge penalty and violation count of each halfspace row,
+    summed user by user from ``best_response`` (through ``mitigation``)."""
+    dm, penalty, count = [], [], []
+    for w, b in zip(W, B):
+        f = LinearModerator(w, b)
+        scores = [f.score(ideal_point(u, pop.trend)) for u in pop.users]
+        dm.append(sum(mitigation(u, pop.trend, f) for u in pop.users))
+        penalty.append(sum(max(0.0, y) ** 2 for y in scores))
+        count.append(sum(y > BENIGN_TOL for y in scores))
+    return np.array(dm), np.array(penalty), np.array(count)
+
+
+def random_rows(rng, pop, k):
+    """k random halfspaces with offsets among the ideal points' scores; the
+    last one's boundary passes exactly through an ideal point."""
+    ideal = pop.feature_matrix + pop.trend.e / (2.0 * pop.costs)[:, None]
+    W = rng.normal(size=(k, pop.d))
+    W[np.linalg.norm(W, axis=1) < 1e-6, 0] = 1.0
+    B = np.array([-float(np.quantile(ideal @ w, rng.uniform(0.0, 1.0))) for w in W])
+    B[-1] = -float(ideal[int(rng.integers(pop.n))] @ W[-1])
+    return W, B
+
+
+class TestHalfspaceScores:
+    @staticmethod
+    def assert_matches_reference(pop, W, B):
+        dm, penalty, count = halfspace_scores(pop, W, B)
+        dm_ref, penalty_ref, count_ref = per_user_scores(pop, W, B)
+        np.testing.assert_array_equal(count, count_ref)
+        assert np.all(np.abs(dm - dm_ref) <= 1e-9 * (1 + np.abs(dm_ref)))
+        assert np.all(np.abs(penalty - penalty_ref) <= 1e-9 * (1 + penalty_ref))
+
+    def test_matches_per_user_reference(self):
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = 1 if trial < 5 else None
+            pop, _ = random_instance(rng, n=n, d=int(rng.integers(1, 6)))
+            W, B = random_rows(rng, pop, int(rng.integers(1, 9)))
+            self.assert_matches_reference(pop, W, B)
+
+    def test_blocks_of_candidates(self, monkeypatch):
+        # 16 entries per block: n = 7 scores two candidates per block, so
+        # eleven rows take six blocks, the last one partial
+        monkeypatch.setattr(metrics_mod, "_SCORE_BLOCK_ENTRIES", 16)
+        rng = np.random.default_rng(5)
+        pop, _ = random_instance(rng, n=7, d=3)
+        W, B = random_rows(rng, pop, 11)
+        self.assert_matches_reference(pop, W, B)
+
+    def test_batch_equals_single_rows(self):
+        # at the real block size n = 300 takes 873 candidates per block
+        rng = np.random.default_rng(6)
+        pop, _ = random_instance(rng, n=300, d=4)
+        W, B = random_rows(rng, pop, 2000)
+        batch = halfspace_scores(pop, W, B)
+        for k in range(2000):
+            for got, single in zip(batch, halfspace_scores(pop, W[k : k + 1], B[k : k + 1])):
+                assert abs(got[k] - single[0]) <= 1e-12 * (1 + abs(single[0]))
 
 
 class TestMetrics:

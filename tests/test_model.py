@@ -206,6 +206,16 @@ class TestProjectPolytope:
         dup = PolytopeModerator((([1.0, 0.0], 0.0), ([2.0, 0.0], 0.0)))
         np.testing.assert_allclose(project_polytope([1.0, 0.5], dup), [0.0, 0.5])
 
+    def test_faces_are_stacked_once_read_only(self):
+        poly = PolytopeModerator((([1.0, 2.0], -0.5), ([0.0, -1.0], 0.25)))
+        assert poly.normals is poly.normals and poly.offsets is poly.offsets
+        np.testing.assert_array_equal(poly.normals, [w for w, _ in poly.halfspaces])
+        np.testing.assert_array_equal(poly.offsets, [b for _, b in poly.halfspaces])
+        for arr in (poly.normals, poly.offsets):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
     def test_empty_region_detected(self):
         empty = PolytopeModerator((([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)))
         # x1 <= -1 and x1 >= 1 simultaneously

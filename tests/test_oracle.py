@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _helpers import loop_candidates
 from modbalance import (
     LinearModerator,
     MixtureSpec,
@@ -19,6 +20,7 @@ from modbalance import (
     violation_count,
     violation_vector,
 )
+from modbalance.oracle import _candidates
 
 LINE3 = Population.from_arrays(
     np.array([[0.3, 0.0], [0.3, 0.1], [0.3, -0.1]]), np.ones(3), [1.0, 0.0]
@@ -51,23 +53,33 @@ class TestOracle2d:
             assert oracle.dm >= solved.dm - 0.05 * abs(oracle.dm)
 
     def test_constraint_recount_on_return(self):
-        # recount with the oracle's own boundary slack: incident candidates
-        # graze ideal points to within roundoff
+        # incident candidates graze ideal points to within roundoff; the
+        # recount uses the package's one benign tolerance, as the oracle does
         for seed, k_cap in ((3, 0), (4, 3), (5, 10)):
             cfg = OracleConfig(K=k_cap)
             pop = generate(MixtureSpec(d=2, n=20, k=2, seed=seed))
             res = oracle_2d(pop, cfg)
-            g = violation_vector(pop, res.moderator)
-            assert int(np.count_nonzero(g > cfg.eps_slack)) <= k_cap
+            assert violation_count(violation_vector(pop, res.moderator)) <= k_cap
 
     def test_zero_cap_is_always_feasible(self):
         # anti-trend directions give violation-free candidates, so K = 0 works
         cfg = OracleConfig(K=0)
         pop = generate(MixtureSpec(d=2, n=15, k=3, seed=9))
         res = oracle_2d(pop, cfg)
-        g = violation_vector(pop, res.moderator)
-        assert int(np.count_nonzero(g > cfg.eps_slack)) == 0
+        assert violation_count(violation_vector(pop, res.moderator)) == 0
         assert res.dm >= 0.0
+
+    def test_reported_violations_respect_the_cap(self):
+        # the CLI's violations column: never above K, and the complement of
+        # the desired-speech index (both count ideal scores > BENIGN_TOL)
+        n = 50
+        for seed in range(40):
+            pop = generate(MixtureSpec(d=2, n=n, k=5, seed=seed))
+            for k_cap in (0, 5, 10):
+                res = oracle_2d(pop, OracleConfig(K=k_cap))
+                count = violation_count(violation_vector(pop, res.moderator))
+                assert count <= k_cap
+                assert count == n - round(n * res.metrics.fos_desired)
 
     def test_grid_refinement_never_hurts(self):
         for seed in (0, 7):
@@ -148,6 +160,39 @@ class TestToyDisk:
             toy_disk([0.0], c=0.0)
         with pytest.raises(ValueError):
             toy_disk([0.0], samples=0)
+
+
+class TestCandidates:
+    """The array-built candidate set against the nested-loop definition."""
+
+    @staticmethod
+    def assert_same_rows(pop, cfg):
+        W, B = _candidates(pop, cfg)
+        W_ref, B_ref = loop_candidates(pop, cfg)
+        assert W.shape == W_ref.shape and B.shape == B_ref.shape
+        assert np.max(np.abs(W - W_ref)) <= 1e-15
+        assert np.max(np.abs(B - B_ref)) <= 1e-14
+
+    @pytest.mark.parametrize("cfg", [
+        OracleConfig(),
+        OracleConfig(use_candidates=False),
+        OracleConfig(angle_steps=16, offset_steps=8),
+    ], ids=["default", "grid_only", "coarse"])
+    def test_matches_loops(self, cfg):
+        for seed in (0, 1, 2):
+            self.assert_same_rows(generate(MixtureSpec(d=2, n=50, k=5, seed=seed)), cfg)
+
+    def test_coincident_points_are_skipped(self):
+        # users 0 and 1 coincide, and so do their ideal points; user 3's
+        # content is user 0's ideal point
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [0.5, 0.0]])
+        pop = Population.from_arrays(X, np.ones(4), [1.0, 0.0])
+        self.assert_same_rows(pop, OracleConfig())
+        cfg = OracleConfig(angle_steps=8, offset_steps=8)
+        W, _ = _candidates(pop, cfg)
+        k = 2 * pop.n
+        grid_rows = cfg.angle_steps * (cfg.offset_steps + 1 + k)
+        assert W.shape[0] == grid_rows + 2 * (k * (k - 1) // 2 - 4)
 
 
 class TestOracleConfig:
