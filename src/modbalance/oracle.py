@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import halfspace_scores, metrics
-from .model import BENIGN_TOL, LinearModerator, Population
-from .solver import SolveResult
+from .metrics import halfspace_scores
+from .model import BENIGN_TOL, Population
+from .solver import SolveResult, _solve_result
 
 __all__ = [
     "OracleConfig",
@@ -105,18 +105,6 @@ def _require_plane(pop: Population):
         raise ValueError(f"oracle search requires d = 2, got d = {pop.d}")
 
 
-def _build_result(pop: Population, w, b, objective, dm, candidates) -> SolveResult:
-    moderator = LinearModerator(w, b)
-    return SolveResult(
-        moderator=moderator,
-        objective=float(objective),
-        dm=float(dm),
-        metrics=metrics(pop, moderator),
-        iterations_used=int(candidates),
-        converged=True,
-    )
-
-
 def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
     """Best mitigation over all candidates meeting the violation cap K."""
     _require_plane(pop)
@@ -134,19 +122,19 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
         )
     masked = np.where(feasible, dm, -np.inf)
     best = int(np.argmax(masked))
-    return _build_result(pop, W[best], B[best], -dm[best], dm[best], W.shape[0])
+    return _solve_result(pop, W[best], B[best], -dm[best], W.shape[0], True, dm=dm[best])
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
     """Exact candidate-set minimizer of -mitigation + lam * squared hinges."""
     _require_plane(pop)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     W, B = _candidates(pop, cfg)
     dm, penalty, _ = halfspace_scores(pop, W, B)
     objective = -dm + lam * penalty
     best = int(np.argmin(objective))
-    return _build_result(pop, W[best], B[best], objective[best], dm[best], W.shape[0])
+    return _solve_result(pop, W[best], B[best], objective[best], W.shape[0], True, dm=dm[best])
 
 
 def toy_disk(

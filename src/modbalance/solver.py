@@ -17,7 +17,9 @@ equals lam * (w.x + b)^2 - a^2: it charges the squared score of the user's
 however far the ideal point x + e/2c lies past the boundary. Its lam is
 therefore not the lam of ``penalty_value``, which charges the squared hinge of
 every filtered *ideal point*. The sum is minimized by projected gradient
-descent under the box |w_j| <= 1.
+descent under the box |w_j| <= 1, all restarts at once: each restart is one
+column of a (d, R) iterate, and each branch is chosen per user with
+``np.where``.
 
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
@@ -93,6 +95,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        for name in ("lam", "learning_rate", "tol_grad", "a_min"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.learning_rate <= 0:
@@ -115,8 +120,8 @@ class CalibrationTarget:
     def __post_init__(self):
         if self.K < 0:
             raise ValueError("K must be nonnegative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,13 @@ class SolveResult:
     -DM + lam * penalty_value(violation_vector(...)) of the returned moderator
     for ``polish_penalized``, and the penalized/constrained search objective
     for the brute-force oracles.
+
+    ``iterations_used`` and ``converged`` describe the winning search only.
+    For the PGD solver that is the first restart with the lowest objective;
+    restarts often reach the same objective to within rounding after
+    different iteration counts. For ``polish_penalized`` they are the poll
+    count and whether the step fell below its tolerance, and for the oracles
+    the number of candidates scored and ``True``.
     """
 
     moderator: LinearModerator
@@ -154,42 +166,29 @@ class TradeoffPoint:
 
 
 def _branch_terms(y: np.ndarray, a: np.ndarray, eps: float, lam: float):
-    """Loss values and partials (d/dy, d/da) per user; a must be positive.
+    """Loss values and partials (d/dy, d/da), elementwise for any shape; a > 0.
 
-    Branches are evaluated under masks: the left branch's denominator changes
-    sign inside the middle region, so evaluating it everywhere would divide
-    by zero.
+    Each output is one ``np.where`` choice between the three branches. The
+    left branch's denominator changes sign inside the middle region, so it is
+    replaced by 1 outside the left region before anything divides by it.
     """
-    values = np.empty_like(y)
-    dl_dy = np.empty_like(y)
-    dl_da = np.empty_like(y)
-
-    breakpoint_left = (1.0 - eps) * a
-    left = y < breakpoint_left
+    left = y < (1.0 - eps) * a
     right = y > a
-    mid = ~(left | right)
-
-    if np.any(left):
-        yl, al = y[left], a[left]
-        num = (1.0 - eps**2) ** 2 * al**3
-        beta = 3.0 * (1.0 - eps) ** 2 - 4.0 * (1.0 - eps)
-        den = 2.0 * eps * yl + beta * al
-        values[left] = num / den
-        dl_dy[left] = -2.0 * eps * num / den**2
-        dl_da[left] = 3.0 * (1.0 - eps**2) ** 2 * al**2 / den - beta * num / den**2
-
-    if np.any(mid):
-        ym, am = y[mid], a[mid]
-        values[mid] = ym**2 - 2.0 * am * ym
-        dl_dy[mid] = 2.0 * ym - 2.0 * am
-        dl_da[mid] = -2.0 * ym
-
-    if np.any(right):
-        yr, ar = y[right], a[right]
-        values[right] = lam * (yr - ar) ** 2 - ar**2
-        dl_dy[right] = 2.0 * lam * (yr - ar)
-        dl_da[right] = -2.0 * lam * (yr - ar) - 2.0 * ar
-
+    num = (1.0 - eps**2) ** 2 * a**3
+    beta = 3.0 * (1.0 - eps) ** 2 - 4.0 * (1.0 - eps)
+    den = np.where(left, 2.0 * eps * y + beta * a, 1.0)
+    gap = y - a
+    values = np.where(
+        left, num / den, np.where(right, lam * gap**2 - a**2, y**2 - 2.0 * a * y)
+    )
+    dl_dy = np.where(
+        left, -2.0 * eps * num / den**2, np.where(right, 2.0 * lam * gap, 2.0 * y - 2.0 * a)
+    )
+    dl_da = np.where(
+        left,
+        3.0 * (1.0 - eps**2) ** 2 * a**2 / den - beta * num / den**2,
+        np.where(right, -2.0 * lam * gap - 2.0 * a, -2.0 * y),
+    )
     return values, dl_dy, dl_da
 
 
@@ -197,48 +196,49 @@ def surrogate_loss(y: float, a: float, cfg: SolverConfig) -> float:
     """Single-user surrogate loss; rejects a <= 0 (caller applies the floor)."""
     if a <= 0:
         raise NonPositiveAError(f"loss shape parameter a must be positive, got {a}")
-    values, _, _ = _branch_terms(
-        np.array([float(y)]), np.array([float(a)]), cfg.epsilon, cfg.lam
-    )
-    return float(values[0])
+    values, _, _ = _branch_terms(np.float64(y), np.float64(a), cfg.epsilon, cfg.lam)
+    return float(values)
 
 
-def _objective_and_gradient(
-    w: np.ndarray,
-    b: float,
-    X: np.ndarray,
-    costs: np.ndarray,
-    e: np.ndarray,
-    cfg: SolverConfig,
-):
-    """Summed surrogate loss and its exact (w, b) gradient at one point.
+def _objective_and_gradient(W, B, X, costs, e, cfg: SolverConfig):
+    """Summed surrogate loss and its exact gradient at R points at once.
 
-    Both y and a depend on w (da/dw = e/(2c)); only y depends on b. Where the
-    floor is active, a is held constant so its chain-rule term drops out.
+    Column r of ``W`` (d, R) and entry r of ``B`` (R,) are one point (w, b).
+    Returns the objectives (R,), the w-gradients (d, R) and the b-gradients
+    (R,). Both y and a depend on w (da/dw = e/(2c)); only y depends on b.
+    Where the floor is active, a is held constant so its chain-rule term
+    drops out.
+
+    Per-user terms are laid out (R, n) and each product with X or e is a
+    stacked matmul over contiguous rows, which numpy runs as one
+    matrix-vector product per row: each column gets the bits it would get
+    alone. That matters because objectives near zero are ill-conditioned (a
+    user's y can be a 1e-6 difference of O(1) scores); one matrix-matrix
+    product sums in another order and moves them by up to 6e-10 relative.
     """
+    Wr = np.ascontiguousarray(W.T)
     half_inv_cost = 1.0 / (2.0 * costs)
-    a_raw = float(np.dot(w, e)) * half_inv_cost
+    a_raw = np.matmul(Wr[:, None, :], e) * half_inv_cost
     a = np.maximum(a_raw, cfg.a_min)
-    floored = a_raw < cfg.a_min
-    y = X @ w + b + a_raw
+    y = np.matmul(X, Wr[:, :, None])[:, :, 0] + B[:, None] + a_raw
 
     values, dl_dy, dl_da = _branch_terms(y, a, cfg.epsilon, cfg.lam)
-    dl_da = np.where(floored, 0.0, dl_da)
+    dl_da = np.where(a_raw < cfg.a_min, 0.0, dl_da)
 
-    grad_w = X.T @ dl_dy + e * float(np.sum((dl_dy + dl_da) * half_inv_cost))
-    grad_b = float(np.sum(dl_dy))
-    return float(np.sum(values)), grad_w, grad_b
+    grad_w = np.matmul(X.T, dl_dy[:, :, None])[:, :, 0]
+    grad_W = (grad_w + np.sum((dl_dy + dl_da) * half_inv_cost, axis=1)[:, None] * e).T
+    return np.sum(values, axis=1), grad_W, np.sum(dl_dy, axis=1)
 
 
 def surrogate_gradient(
     w, b: float, pop: Population, cfg: SolverConfig
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of the summed surrogate loss over the population."""
-    w = np.asarray(w, dtype=np.float64)
-    _, grad_w, grad_b = _objective_and_gradient(
-        w, float(b), pop.feature_matrix, pop.costs, pop.trend.e, cfg
+    W = np.asarray(w, dtype=np.float64)[:, None]
+    _, grad_W, grad_B = _objective_and_gradient(
+        W, np.array([float(b)]), pop.feature_matrix, pop.costs, pop.trend.e, cfg
     )
-    return grad_w, grad_b
+    return grad_W[:, 0], float(grad_B[0])
 
 
 def violation_vector(pop: Population, f: LinearModerator) -> np.ndarray:
@@ -287,68 +287,65 @@ def _initial_point(
     return w, b
 
 
-def _run_restart(
-    r: int,
-    cfg: SolverConfig,
-    X: np.ndarray,
-    costs: np.ndarray,
-    e: np.ndarray,
-):
-    """One PGD trajectory; returns the best iterate it visited.
-
-    The step uses the mean-loss gradient (sum / n) so the published learning
-    rate is independent of population size; with the raw sum the fixed rate
-    overshoots by a factor of n. Tracking the best iterate guards against
-    end-of-run oscillation in the stiff high-lambda regime.
-    """
-    n = X.shape[0]
-    w, b = _initial_point(r, cfg, X, e)
-    best_obj, best_w, best_b = np.inf, w, b
-    iterations = 0
-    converged = False
-
-    for t in range(cfg.max_iters):
-        obj, grad_w, grad_b = _objective_and_gradient(w, b, X, costs, e, cfg)
-        if obj < best_obj:
-            best_obj, best_w, best_b = obj, w, b
-        w_next = np.clip(w - (cfg.learning_rate / n) * grad_w, -1.0, 1.0)
-        b_next = b - (cfg.learning_rate / n) * grad_b
-        # mean-loss projected gradient: (w - w_next)/lr equals grad_w/n off the box
-        projected_grad = np.hstack(((w - w_next) / cfg.learning_rate, grad_b / n))
-        w, b = w_next, b_next
-        iterations = t + 1
-        if float(np.linalg.norm(projected_grad)) <= cfg.tol_grad:
-            converged = True
-            break
-
-    final_obj, _, _ = _objective_and_gradient(w, b, X, costs, e, cfg)
-    if final_obj < best_obj:
-        best_obj, best_w, best_b = final_obj, w, b
-    return best_obj, best_w, best_b, iterations, converged
+def _solve_result(
+    pop: Population, w, b, objective, iterations, converged, dm=None
+) -> SolveResult:
+    """The SolveResult of halfspace (w, b); ``dm`` defaults to its closed form."""
+    f = LinearModerator(w, b)
+    dm = dm_closed_form_linear(pop, f) if dm is None else float(dm)
+    return SolveResult(f, float(objective), dm, metrics(pop, f), int(iterations), bool(converged))
 
 
 def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
-    """Minimize the summed surrogate loss under |w_j| <= 1; best of restarts."""
+    """Minimize the summed surrogate loss under |w_j| <= 1; best of restarts.
+
+    The restarts are the columns of one (d, R) iterate. Each column keeps
+    the best iterate it visited, a guard against end-of-run oscillation in
+    the stiff high-lambda regime, and stops once its projected gradient is
+    at most ``tol_grad``. The step uses the mean-loss gradient (sum / n) so
+    the learning rate is independent of population size. The first restart
+    with the lowest objective and a nonzero normal wins.
+    """
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
-    best = None
-    for r in range(cfg.restarts):
-        obj, w, b, iterations, converged = _run_restart(r, cfg, X, costs, e)
-        if not np.any(np.abs(w) > 0):
-            continue
-        if best is None or obj < best[0]:
-            best = (obj, w, b, iterations, converged)
-    if best is None:
+    n = X.shape[0]
+    starts = [_initial_point(r, cfg, X, e) for r in range(cfg.restarts)]
+    W = np.stack([w for w, _ in starts], axis=1)
+    B = np.array([b for _, b in starts])
+    best_obj = np.full(cfg.restarts, np.inf)
+    best_W, best_B = W.copy(), B.copy()
+    iterations = np.zeros(cfg.restarts, dtype=np.int64)
+    converged = np.zeros(cfg.restarts, dtype=bool)
+    active = np.arange(cfg.restarts)
+    step = cfg.learning_rate / n
+
+    def keep_best(cols, obj, Wc, Bc):
+        better = obj < best_obj[cols]
+        cols = cols[better]
+        best_obj[cols], best_W[:, cols], best_B[cols] = obj[better], Wc[:, better], Bc[better]
+
+    for t in range(cfg.max_iters):
+        Wa, Ba = W[:, active], B[active]
+        obj, grad_W, grad_B = _objective_and_gradient(Wa, Ba, X, costs, e, cfg)
+        keep_best(active, obj, Wa, Ba)
+        W_next = np.clip(Wa - step * grad_W, -1.0, 1.0)
+        # mean-loss projected gradient: (w - w_next)/lr equals grad_w/n off the box;
+        # one contiguous row per restart, its norm by the same BLAS dot as alone
+        P = np.column_stack(((Wa - W_next).T / cfg.learning_rate, grad_B / n))
+        W[:, active], B[active] = W_next, Ba - step * grad_B
+        iterations[active] = t + 1
+        done = np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0]) <= cfg.tol_grad
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+
+    final_obj, _, _ = _objective_and_gradient(W, B, X, costs, e, cfg)
+    keep_best(np.arange(cfg.restarts), final_obj, W, B)
+    nonzero = np.flatnonzero(np.any(np.abs(best_W) > 0, axis=0))
+    if nonzero.size == 0:
         raise DegenerateSolutionError("all restarts collapsed to w = 0; re-seed")
-    obj, w, b, iterations, converged = best
-    moderator = LinearModerator(w, b)
-    return SolveResult(
-        moderator=moderator,
-        objective=obj,
-        dm=dm_closed_form_linear(pop, moderator),
-        metrics=metrics(pop, moderator),
-        iterations_used=iterations,
-        converged=converged,
-    )
+    r = nonzero[np.argmin(best_obj[nonzero])]
+    return _solve_result(pop, best_W[:, r], best_B[r], best_obj[r], iterations[r], converged[r])
 
 
 # Pattern search over the normal's direction: rotation step (radians) at the
@@ -463,8 +460,8 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
     value 0. The returned normal has |w| = 1, so |w_j| <= 1 still holds, and
     ``objective`` is its exact penalized objective.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if f.w.shape[0] != pop.d:
         raise ValueError(f"moderator dimension {f.w.shape[0]} != population d = {pop.d}")
     norm = float(np.linalg.norm(f.w))
@@ -479,14 +476,7 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
         _pattern_search(pop, *_with_best_offset(pop, trend, lam), lam),
     ]
     moderator, objective, polls, converged = min(runs, key=lambda r: r[1])
-    return SolveResult(
-        moderator=moderator,
-        objective=objective,
-        dm=dm_closed_form_linear(pop, moderator),
-        metrics=metrics(pop, moderator),
-        iterations_used=polls,
-        converged=converged,
-    )
+    return _solve_result(pop, moderator.w, moderator.b, objective, polls, converged)
 
 
 @dataclass(frozen=True)
@@ -508,8 +498,14 @@ def calibrate_lambda(
 ) -> CalibrationOutcome:
     """Bisection for the smallest penalty strength meeting the K-cap.
 
-    Violations shrink as lambda grows, so the midpoint test is monotone:
-    too many violations sends the search to the upper half. Each solve uses
+    The bisection assumes that violations shrink as lambda grows, so that
+    too many violations at a midpoint send the search to the upper half.
+    The assumption fails: the violation count of the PGD solutions is not
+    monotone in lambda (on the README population at K = 25: 0 at
+    lambda = 163.1, 1 at 81.5, 0 at 40.8). The caller then gets the smallest
+    probed lambda whose solve met the cap. Its moderator meets the cap, but
+    a smaller feasible lambda may have been skipped, and the moderator may
+    mitigate nothing (DM = 0 in that README case). Each solve uses
     a seed derived from (base seed, step index) for a reproducible trace.
     The interval shrinks from lambda_max to delta in ceil(log2(max/delta))
     midpoint solves, plus the single feasibility probe at the cap.
@@ -554,8 +550,8 @@ def sweep_lambda(pop: Population, lambdas, cfg: SolverConfig) -> list[TradeoffPo
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("lambdas must be nonempty")
-    if any(l < 0 for l in lambdas):
-        raise ValueError("lambdas must be nonnegative")
+    if not all(np.isfinite(l) and l >= 0 for l in lambdas):
+        raise ValueError(f"lambdas must be nonnegative and finite, got {lambdas}")
     points = []
     for j, lam in enumerate(lambdas):
         sub = replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j))

@@ -1,6 +1,6 @@
 """Shared test oracles: exhaustive utility grids, regime sampling, random
-moderated populations, the exact penalized objective, and the oracle's
-candidate set built by nested loops."""
+moderated populations, the exact penalized objective, the oracle's
+candidate set built by nested loops, and PGD run one restart at a time."""
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from modbalance import (
     penalty_value,
     violation_vector,
 )
+from modbalance.solver import _branch_terms, _initial_point
 
 
 def in_strategic_regime(u, e, f):
@@ -164,3 +165,53 @@ def loop_candidates(pop, cfg):
                 ws.extend([w, -w])
                 bs.extend([b, -b])
     return np.vstack(ws), np.array(bs)
+
+
+def single_objective_and_gradient(w, b, X, costs, e, cfg):
+    """Summed surrogate loss and its (w, b) gradient at one point (w, b)."""
+    half_inv_cost = 1.0 / (2.0 * costs)
+    a_raw = float(np.dot(w, e)) * half_inv_cost
+    a = np.maximum(a_raw, cfg.a_min)
+    y = X @ w + b + a_raw
+    values, dl_dy, dl_da = _branch_terms(y, a, cfg.epsilon, cfg.lam)
+    dl_da = np.where(a_raw < cfg.a_min, 0.0, dl_da)
+    grad_w = X.T @ dl_dy + e * float(np.sum((dl_dy + dl_da) * half_inv_cost))
+    return float(np.sum(values)), grad_w, float(np.sum(dl_dy))
+
+
+def reference_restart(r, cfg, X, costs, e):
+    """One PGD restart by definition: (best objective, w, b, iterations,
+    converged), the best over every iterate visited and the final one."""
+    n = X.shape[0]
+    w, b = _initial_point(r, cfg, X, e)
+    best_obj, best_w, best_b = np.inf, w, b
+    iterations, converged = 0, False
+    for t in range(cfg.max_iters):
+        obj, grad_w, grad_b = single_objective_and_gradient(w, b, X, costs, e, cfg)
+        if obj < best_obj:
+            best_obj, best_w, best_b = obj, w, b
+        w_next = np.clip(w - (cfg.learning_rate / n) * grad_w, -1.0, 1.0)
+        b_next = b - (cfg.learning_rate / n) * grad_b
+        projected_grad = np.hstack(((w - w_next) / cfg.learning_rate, grad_b / n))
+        w, b = w_next, b_next
+        iterations = t + 1
+        if float(np.linalg.norm(projected_grad)) <= cfg.tol_grad:
+            converged = True
+            break
+    final_obj, _, _ = single_objective_and_gradient(w, b, X, costs, e, cfg)
+    if final_obj < best_obj:
+        best_obj, best_w, best_b = final_obj, w, b
+    return best_obj, best_w, best_b, iterations, converged
+
+
+def reference_pgd(pop, cfg):
+    """Best restart, run one at a time, among those with a nonzero normal:
+    (objective, w, b, iterations, converged); the first of equal objectives
+    wins."""
+    X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
+    best = None
+    for r in range(cfg.restarts):
+        run = reference_restart(r, cfg, X, costs, e)
+        if np.any(np.abs(run[1]) > 0) and (best is None or run[0] < best[0]):
+            best = run
+    return best

@@ -121,6 +121,14 @@ class TestSolve:
         assert out.read_bytes() == first
 
 
+    def test_nonfinite_lambda_exits_two_without_output(self, tmp_path, small_pop, capsys):
+        out = tmp_path / "fit.csv"
+        assert run(["solve", "--data", str(small_pop), "--out", str(out),
+                    "--lambda", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "fit.moderator.csv").exists()
+
     def test_footer_reruns_the_job(self, tmp_path, small_pop):
         out = tmp_path / "fit.csv"
         assert run(["solve", "--data", str(small_pop), "--out", str(out),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _helpers import penalized_objective
+from _helpers import penalized_objective, reference_pgd
 from modbalance import (
     CalibrationTarget,
     LinearModerator,
@@ -27,7 +27,7 @@ from modbalance import (
     violation_count,
     violation_vector,
 )
-from modbalance.solver import _exact_offset
+from modbalance.solver import _branch_terms, _exact_offset
 
 CFG = SolverConfig(epsilon=0.9, lam=10.0)
 
@@ -113,6 +113,33 @@ class TestSurrogateLoss:
             assert prev < val < 0
             prev = val
         assert -1e-6 < surrogate_loss(-1e6, 0.5, cfg) < 0
+
+    def test_two_dimensional_input_matches_column_calls(self):
+        # each column, at its own a: far left, left, the left junction,
+        # middle, the y = a junction, then two right points; at y = 1.25 a
+        # the left denominator 2 eps y + beta a is exactly 0 for eps = 0.5
+        eps, lam = 0.5, 7.0
+        a = np.array([0.25, 0.5, 1.0, 2.5])[None, :] * np.ones((7, 1))
+        bp = (1.0 - eps) * a
+        y = np.vstack([-50.0 * a[0], 0.5 * bp[0], bp[0], 0.5 * (bp[0] + a[0]), a[0],
+                       1.25 * a[0], 3.0 * a[0]])
+        with np.errstate(all="raise"):
+            batched = _branch_terms(y, a, eps, lam)
+            for r in range(y.shape[1]):
+                column = _branch_terms(y[:, r].copy(), a[:, r].copy(), eps, lam)
+                for full, single in zip(batched, column):
+                    assert full[:, r].tobytes() == single.tobytes()
+        values = batched[0]
+        for i in range(y.shape[0]):
+            for r in range(y.shape[1]):
+                yi, ai = y[i, r], a[i, r]
+                if yi < (1.0 - eps) * ai:
+                    want = left_branch(yi, ai, eps)
+                elif yi <= ai:
+                    want = middle_branch(yi, ai)
+                else:
+                    want = right_branch(yi, ai, lam)
+                assert values[i, r] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def _fd_gradient(pop, w, b, cfg, h=1e-6):
@@ -268,6 +295,34 @@ class TestPgdSolve:
         res = pgd_solve(pop, SolverConfig(lam=1.0, restarts=2, seed=2, max_iters=300))
         assert res.dm == pytest.approx(dm_closed_form_linear(pop, res.moderator))
         assert res.metrics.n == 40
+
+
+class TestBatchedRestarts:
+    def test_matches_restarts_run_one_at_a_time(self):
+        rng = np.random.default_rng(2024)
+        single = 0
+        for case in range(30):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(2, 81))
+            pop = Population.from_arrays(
+                rng.normal(scale=1.5, size=(n, d)), rng.uniform(0.3, 2.0, n), rng.normal(size=d)
+            )
+            restarts = int(rng.integers(1, 5))
+            cfg = SolverConfig(
+                lam=[0.0, 0.1, 10.0, 1e6][case % 4],
+                learning_rate=25.0 if case % 5 == 4 else 0.1,  # w sits on the box
+                restarts=restarts,
+                seed=case,
+                max_iters=300,
+            )
+            res = pgd_solve(pop, cfg)
+            ref_obj, _, _, ref_iters, ref_converged = reference_pgd(pop, cfg)
+            assert abs(res.objective - ref_obj) <= 1e-12 * abs(ref_obj)
+            if restarts == 1:
+                single += 1
+                assert res.iterations_used == ref_iters
+                assert res.converged == ref_converged
+        assert single >= 5
 
 
 def penalized_by_definition(p, s, offsets, lam):
@@ -461,3 +516,30 @@ class TestConfigValidation:
             SolverConfig(lam=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(restarts=0)
+
+
+def _nonfinite_calls():
+    pop = generate(MixtureSpec(d=2, n=10, k=2, seed=0))
+    f = LinearModerator([1.0, 0.0], 0.0)
+    calls = {}
+    for bad in (np.nan, np.inf):
+        calls[f"lam={bad}"] = lambda bad=bad: SolverConfig(lam=bad)
+        calls[f"learning_rate={bad}"] = lambda bad=bad: SolverConfig(learning_rate=bad)
+        calls[f"tol_grad={bad}"] = lambda bad=bad: SolverConfig(tol_grad=bad)
+        calls[f"a_min={bad}"] = lambda bad=bad: SolverConfig(a_min=bad)
+        calls[f"delta={bad}"] = lambda bad=bad: CalibrationTarget(K=1, delta=bad)
+        calls[f"sweep_lambda {bad}"] = lambda bad=bad: sweep_lambda(pop, [1.0, bad], SolverConfig())
+        calls[f"polish_penalized {bad}"] = lambda bad=bad: polish_penalized(pop, f, bad)
+        calls[f"oracle_penalized_2d {bad}"] = lambda bad=bad: oracle_penalized_2d(
+            pop, bad, OracleConfig()
+        )
+    return calls
+
+
+_NONFINITE = _nonfinite_calls()
+
+
+@pytest.mark.parametrize("name", sorted(_NONFINITE))
+def test_nonfinite_parameters_rejected(name):
+    with pytest.raises(ValueError, match="finite"):
+        _NONFINITE[name]()
