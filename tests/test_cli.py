@@ -120,7 +120,6 @@ class TestSolve:
         assert run(args) == 0
         assert out.read_bytes() == first
 
-
     def test_nonfinite_lambda_exits_two_without_output(self, tmp_path, small_pop, capsys):
         out = tmp_path / "fit.csv"
         assert run(["solve", "--data", str(small_pop), "--out", str(out),
