@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from .data import DatasetFormatError, MixtureSpec
+from .data import MixtureSpec
 from .oracle import NoFeasibleCandidateError, OracleConfig, oracle_2d, oracle_penalized_2d, toy_disk
 from .solver import (
     CalibrationTarget,
@@ -432,9 +432,6 @@ def run(argv=None) -> int:
     try:
         params = _resolve(args.command, args)
         return _COMMANDS[args.command](params)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoFeasibleCandidateError as exc:
         print(
             f"error: {exc} (least-violating candidate: w = {exc.w.tolist()}, "
@@ -442,14 +439,11 @@ def run(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         name = getattr(exc, "filename", None)
         print(f"error: {name or 'i/o'}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # a DatasetFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,11 +54,6 @@ class MetricReport:
     filtered_count: int
     n: int
 
-    CSV_FIELDS = ("dm", "fos_desired", "fos_retained", "filtered_count", "n")
-
-    def as_row(self) -> tuple:
-        return (self.dm, self.fos_desired, self.fos_retained, self.filtered_count, self.n)
-
 
 def baseline_distortion(u: UserProfile, e: Trend) -> float:
     """Distortion under the do-nothing moderator: |e|^2 / (4 c^2)."""

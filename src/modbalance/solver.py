@@ -17,9 +17,9 @@ equals lam * (w.x + b)^2 - a^2: it charges the squared score of the user's
 however far the ideal point x + e/2c lies past the boundary. Its lam is
 therefore not the lam of ``penalty_value``, which charges the squared hinge of
 every filtered *ideal point*. The sum is minimized by projected gradient
-descent under the box |w_j| <= 1, all restarts at once: each restart is one
-column of a (d, R) iterate, and each branch is chosen per user with
-``np.where``.
+descent under the box |w_j| <= 1, all restarts at once as the columns of a
+(d, R) iterate, each column with its own step that grows when the Armijo
+rule accepts a trial point and halves when it rejects one.
 
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
@@ -78,9 +78,13 @@ class DegenerateSolutionError(RuntimeError):
 class SolverConfig:
     """Hyperparameters for the surrogate objective and its PGD solver.
 
-    ``a_min`` floors the loss shape parameter when the candidate normal turns
-    against the trend (w.e <= 0), keeping the branch formulas defined;
-    geometry (the y values) is never floored.
+    ``learning_rate`` is each restart's first trial step on the mean-loss
+    scale, and the scale of the stationarity test: a restart has converged
+    once (w - clip(w - (learning_rate/n) grad_w, -1, 1)) / learning_rate and
+    grad_b / n together have norm at most ``tol_grad``. ``a_min`` floors the
+    loss shape parameter when the candidate normal turns against the trend
+    (w.e <= 0), keeping the branch formulas defined; geometry (the y values)
+    is never floored.
     """
 
     epsilon: float = 0.9
@@ -135,11 +139,11 @@ class SolveResult:
     for the brute-force oracles.
 
     ``iterations_used`` and ``converged`` describe the winning search only.
-    For the PGD solver that is the first restart with the lowest objective;
-    restarts often reach the same objective to within rounding after
-    different iteration counts. For ``polish_penalized`` they are the poll
-    count and whether the step fell below its tolerance, and for the oracles
-    the number of candidates scored and ``True``.
+    For the PGD solver that is the first restart with the lowest objective:
+    its trial evaluations, accepted or rejected, and whether the returned
+    point passes the stationarity test. For ``polish_penalized`` they are the
+    poll count and whether the step fell below its tolerance, and for the
+    oracles the number of candidates scored and ``True``.
     """
 
     moderator: LinearModerator
@@ -296,56 +300,73 @@ def _solve_result(
     return SolveResult(f, float(objective), dm, metrics(pop, f), int(iterations), bool(converged))
 
 
+# Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
+# fraction, and the factors applied to a column's step on accept and reject.
+_ARMIJO_SIGMA = 1e-4
+_STEP_GROW = 1.5
+_STEP_SHRINK = 0.5
+
+
+def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each by the BLAS dot one row gets alone."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
+
+
+def _stationary(W, G_W, G_B, n: int, cfg: SolverConfig) -> np.ndarray:
+    """Per column: passes the stationarity test of ``SolverConfig``."""
+    W_step = np.clip(W - (cfg.learning_rate / n) * G_W, -1.0, 1.0)
+    P = np.column_stack(((W - W_step).T / cfg.learning_rate, G_B / n))
+    return np.sqrt(_rowdot(P, P)) <= cfg.tol_grad
+
+
 def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     """Minimize the summed surrogate loss under |w_j| <= 1; best of restarts.
 
-    The restarts are the columns of one (d, R) iterate. Each column keeps
-    the best iterate it visited, a guard against end-of-run oscillation in
-    the stiff high-lambda regime, and stops once its projected gradient is
-    at most ``tol_grad``. The step uses the mean-loss gradient (sum / n) so
-    the learning rate is independent of population size. The first restart
-    with the lowest objective and a nonzero normal wins.
+    The restarts are the columns of one (d, R) iterate, each with its own
+    step t, first ``learning_rate``. One evaluation per iteration scores
+    every active column's trial (clip(w - (t/n) grad_w, -1, 1), b - (t/n)
+    grad_b). The Armijo rule accepts it if it lowers the objective by at
+    least ``_ARMIJO_SIGMA`` times the gradient's inner product with the move:
+    the column moves and t grows. Else the column stays and t shrinks. So a
+    column's objective never rises and its current iterate is its best. It
+    stops at a point passing ``SolverConfig``'s stationarity test or after
+    ``max_iters`` trials. The first lowest objective with w != 0 wins.
     """
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
     n = X.shape[0]
     starts = [_initial_point(r, cfg, X, e) for r in range(cfg.restarts)]
     W = np.stack([w for w, _ in starts], axis=1)
     B = np.array([b for _, b in starts])
-    best_obj = np.full(cfg.restarts, np.inf)
-    best_W, best_B = W.copy(), B.copy()
+    obj, G_W, G_B = _objective_and_gradient(W, B, X, costs, e, cfg)
+    step = np.full(cfg.restarts, cfg.learning_rate)
     iterations = np.zeros(cfg.restarts, dtype=np.int64)
-    converged = np.zeros(cfg.restarts, dtype=bool)
-    active = np.arange(cfg.restarts)
-    step = cfg.learning_rate / n
+    converged = _stationary(W, G_W, G_B, n, cfg)
+    active = np.flatnonzero(~converged)
 
-    def keep_best(cols, obj, Wc, Bc):
-        better = obj < best_obj[cols]
-        cols = cols[better]
-        best_obj[cols], best_W[:, cols], best_B[cols] = obj[better], Wc[:, better], Bc[better]
-
-    for t in range(cfg.max_iters):
-        Wa, Ba = W[:, active], B[active]
-        obj, grad_W, grad_B = _objective_and_gradient(Wa, Ba, X, costs, e, cfg)
-        keep_best(active, obj, Wa, Ba)
-        W_next = np.clip(Wa - step * grad_W, -1.0, 1.0)
-        # mean-loss projected gradient: (w - w_next)/lr equals grad_w/n off the box;
-        # one contiguous row per restart, its norm by the same BLAS dot as alone
-        P = np.column_stack(((Wa - W_next).T / cfg.learning_rate, grad_B / n))
-        W[:, active], B[active] = W_next, Ba - step * grad_B
-        iterations[active] = t + 1
-        done = np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0]) <= cfg.tol_grad
-        converged[active[done]] = True
-        active = active[~done]
+    for _ in range(cfg.max_iters):
         if active.size == 0:
             break
+        Wa, Ba, ta = W[:, active], B[active], step[active]
+        W_try = np.clip(Wa - (ta / n) * G_W[:, active], -1.0, 1.0)
+        B_try = Ba - (ta / n) * G_B[active]
+        obj_try, Gt_W, Gt_B = _objective_and_gradient(W_try, B_try, X, costs, e, cfg)
+        iterations[active] += 1
+        move = np.column_stack(((W_try - Wa).T, B_try - Ba))
+        slope = _rowdot(np.column_stack((G_W[:, active].T, G_B[active])), move)
+        ok = obj_try <= obj[active] + _ARMIJO_SIGMA * slope  # nan/inf trials fail
+        cols = active[ok]
+        W[:, cols], B[cols], obj[cols] = W_try[:, ok], B_try[ok], obj_try[ok]
+        G_W[:, cols], G_B[cols] = Gt_W[:, ok], Gt_B[ok]
+        step[active] = np.where(ok, ta * _STEP_GROW, ta * _STEP_SHRINK)
+        done = ok & _stationary(W_try, Gt_W, Gt_B, n, cfg)
+        converged[active[done]] = True
+        active = active[~done]
 
-    final_obj, _, _ = _objective_and_gradient(W, B, X, costs, e, cfg)
-    keep_best(np.arange(cfg.restarts), final_obj, W, B)
-    nonzero = np.flatnonzero(np.any(np.abs(best_W) > 0, axis=0))
+    nonzero = np.flatnonzero(np.any(np.abs(W) > 0, axis=0))
     if nonzero.size == 0:
         raise DegenerateSolutionError("all restarts collapsed to w = 0; re-seed")
-    r = nonzero[np.argmin(best_obj[nonzero])]
-    return _solve_result(pop, best_W[:, r], best_B[r], best_obj[r], iterations[r], converged[r])
+    r = nonzero[np.argmin(obj[nonzero])]
+    return _solve_result(pop, W[:, r], B[r], obj[r], iterations[r], converged[r])
 
 
 # Pattern search over the normal's direction: rotation step (radians) at the
@@ -502,12 +523,12 @@ def calibrate_lambda(
     too many violations at a midpoint send the search to the upper half.
     The assumption fails: the violation count of the PGD solutions is not
     monotone in lambda (on the README population at K = 25: 0 at
-    lambda = 163.1, 1 at 81.5, 0 at 40.8). The caller then gets the smallest
-    probed lambda whose solve met the cap. Its moderator meets the cap, but
-    a smaller feasible lambda may have been skipped, and the moderator may
-    mitigate nothing (DM = 0 in that README case). Each solve uses
-    a seed derived from (base seed, step index) for a reproducible trace.
-    The interval shrinks from lambda_max to delta in ceil(log2(max/delta))
+    lambda = 50.211, 25 at 50.221, 0 at 50.241). The caller then gets the
+    smallest probed lambda whose solve met the cap. Its moderator meets the
+    cap, but a smaller feasible lambda may have been skipped, and it may
+    mitigate nothing (DM = 0 in that README case). Each solve uses a seed
+    derived from (base seed, step index) for a reproducible trace. The
+    interval shrinks from lambda_max to delta in ceil(log2(max/delta))
     midpoint solves, plus the single feasibility probe at the cap.
     """
     if target.K > pop.n:
@@ -557,17 +578,7 @@ def sweep_lambda(pop: Population, lambdas, cfg: SolverConfig) -> list[TradeoffPo
         sub = replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j))
         result = pgd_solve(pop, sub)
         m = result.metrics
-        points.append(
-            TradeoffPoint(
-                lam=lam,
-                seed=cfg.seed,
-                dm=result.dm,
-                fos_desired=m.fos_desired,
-                fos_retained=m.fos_retained,
-                filtered_count=m.filtered_count,
-                objective=result.objective,
-                iterations=result.iterations_used,
-                converged=result.converged,
-            )
-        )
+        points.append(TradeoffPoint(
+            lam, cfg.seed, result.dm, m.fos_desired, m.fos_retained, m.filtered_count,
+            result.objective, result.iterations_used, result.converged))
     return points

@@ -179,29 +179,41 @@ def single_objective_and_gradient(w, b, X, costs, e, cfg):
     return float(np.sum(values)), grad_w, float(np.sum(dl_dy))
 
 
+def projected_gradient_norm(w, grad_w, grad_b, n, cfg):
+    """Norm of the mean-loss projected gradient at the fixed learning rate."""
+    w_step = np.clip(w - (cfg.learning_rate / n) * grad_w, -1.0, 1.0)
+    return float(np.linalg.norm(np.hstack(((w - w_step) / cfg.learning_rate, grad_b / n))))
+
+
 def reference_restart(r, cfg, X, costs, e):
-    """One PGD restart by definition: (best objective, w, b, iterations,
-    converged), the best over every iterate visited and the final one."""
+    """One PGD restart by definition: (objective, w, b, iterations, converged).
+
+    The step t starts at the learning rate. Each iteration scores the trial
+    point w_t = clip(w - (t/n) grad_w, -1, 1), b_t = b - (t/n) grad_b, and
+    accepts it when f(trial) <= f + 1e-4 * <grad, trial - current>: then the
+    restart moves there and t grows by 1.5; otherwise it stays and t halves.
+    It stops once its current point's projected gradient is at most
+    ``tol_grad``, or after ``max_iters`` trials.
+    """
     n = X.shape[0]
     w, b = _initial_point(r, cfg, X, e)
-    best_obj, best_w, best_b = np.inf, w, b
-    iterations, converged = 0, False
-    for t in range(cfg.max_iters):
-        obj, grad_w, grad_b = single_objective_and_gradient(w, b, X, costs, e, cfg)
-        if obj < best_obj:
-            best_obj, best_w, best_b = obj, w, b
-        w_next = np.clip(w - (cfg.learning_rate / n) * grad_w, -1.0, 1.0)
-        b_next = b - (cfg.learning_rate / n) * grad_b
-        projected_grad = np.hstack(((w - w_next) / cfg.learning_rate, grad_b / n))
-        w, b = w_next, b_next
-        iterations = t + 1
-        if float(np.linalg.norm(projected_grad)) <= cfg.tol_grad:
-            converged = True
-            break
-    final_obj, _, _ = single_objective_and_gradient(w, b, X, costs, e, cfg)
-    if final_obj < best_obj:
-        best_obj, best_w, best_b = final_obj, w, b
-    return best_obj, best_w, best_b, iterations, converged
+    obj, grad_w, grad_b = single_objective_and_gradient(w, b, X, costs, e, cfg)
+    t = cfg.learning_rate
+    iterations = 0
+    converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= cfg.tol_grad
+    while not converged and iterations < cfg.max_iters:
+        w_try = np.clip(w - (t / n) * grad_w, -1.0, 1.0)
+        b_try = b - (t / n) * grad_b
+        obj_try, gw_try, gb_try = single_objective_and_gradient(w_try, b_try, X, costs, e, cfg)
+        iterations += 1
+        slope = float(np.dot(np.hstack((grad_w, grad_b)), np.hstack((w_try - w, b_try - b))))
+        if obj_try <= obj + 1e-4 * slope:
+            w, b, obj, grad_w, grad_b = w_try, b_try, obj_try, gw_try, gb_try
+            t *= 1.5
+            converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= cfg.tol_grad
+        else:
+            t *= 0.5
+    return obj, w, b, iterations, converged
 
 
 def reference_pgd(pop, cfg):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from _helpers import penalized_objective, reference_pgd
+from dataclasses import replace
+
+from _helpers import (
+    penalized_objective,
+    projected_gradient_norm,
+    reference_pgd,
+    single_objective_and_gradient,
+)
 from modbalance import (
     CalibrationTarget,
     LinearModerator,
@@ -27,7 +34,7 @@ from modbalance import (
     violation_count,
     violation_vector,
 )
-from modbalance.solver import _branch_terms, _exact_offset
+from modbalance.solver import _branch_terms, _exact_offset, _initial_point
 
 CFG = SolverConfig(epsilon=0.9, lam=10.0)
 
@@ -323,6 +330,45 @@ class TestBatchedRestarts:
                 assert res.iterations_used == ref_iters
                 assert res.converged == ref_converged
         assert single >= 5
+
+
+class TestArmijoStep:
+    def test_accepted_objectives_never_increase(self):
+        # one restart's state after k trials is the solve capped at max_iters = k
+        rng = np.random.default_rng(77)
+        for case in range(6):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(5, 60))
+            pop = Population.from_arrays(
+                rng.normal(scale=1.5, size=(n, d)), rng.uniform(0.3, 2.0, n), rng.normal(size=d)
+            )
+            cfg = SolverConfig(lam=[0.1, 10.0, 1e4][case % 3], restarts=1, seed=case)
+            X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
+            w, b = _initial_point(0, cfg, X, e)
+            previous, _, _ = single_objective_and_gradient(w, b, X, costs, e, cfg)
+            for k in range(1, 41):
+                res = pgd_solve(pop, replace(cfg, max_iters=k))
+                assert res.objective <= previous
+                previous = res.objective
+
+    def test_converged_result_passes_the_stationarity_test(self):
+        converged = 0
+        for seed in range(6):
+            pop = generate(MixtureSpec(d=3, n=60, k=3, seed=seed))
+            cfg = SolverConfig(lam=[0.1, 1.0, 10.0][seed % 3], restarts=3, seed=seed)
+            res = pgd_solve(pop, cfg)
+            if res.converged:
+                converged += 1
+                w, b = res.moderator.w, res.moderator.b
+                grad_w, grad_b = surrogate_gradient(w, b, pop, cfg)
+                assert projected_gradient_norm(w, grad_w, grad_b, pop.n, cfg) <= cfg.tol_grad
+        assert converged >= 4
+
+    def test_lambda_ten_converges_at_default_size(self):
+        pop = generate(MixtureSpec(d=5, n=500, k=5, seed=0))
+        res = pgd_solve(pop, SolverConfig(lam=10.0, seed=derive_seed(0, 4), restarts=8))
+        assert res.converged
+        assert res.iterations_used < 2000
 
 
 def penalized_by_definition(p, s, offsets, lam):
