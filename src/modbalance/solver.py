@@ -346,13 +346,13 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     for _ in range(cfg.max_iters):
         if active.size == 0:
             break
-        Wa, Ba, ta = W[:, active], B[active], step[active]
-        W_try = np.clip(Wa - (ta / n) * G_W[:, active], -1.0, 1.0)
-        B_try = Ba - (ta / n) * G_B[active]
+        Wa, Ba, Ga_W, Ga_B, ta = W[:, active], B[active], G_W[:, active], G_B[active], step[active]
+        W_try = np.clip(Wa - (ta / n) * Ga_W, -1.0, 1.0)
+        B_try = Ba - (ta / n) * Ga_B
         obj_try, Gt_W, Gt_B = _objective_and_gradient(W_try, B_try, X, costs, e, cfg)
         iterations[active] += 1
         move = np.column_stack(((W_try - Wa).T, B_try - Ba))
-        slope = _rowdot(np.column_stack((G_W[:, active].T, G_B[active])), move)
+        slope = _rowdot(np.column_stack((Ga_W.T, Ga_B)), move)
         ok = obj_try <= obj[active] + _ARMIJO_SIGMA * slope  # nan/inf trials fail
         cols = active[ok]
         W[:, cols], B[cols], obj[cols] = W_try[:, ok], B_try[ok], obj_try[ok]

@@ -1,9 +1,9 @@
 """Surrogate loss analytics, PGD behavior, calibration, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from _helpers import (
     penalized_objective,
