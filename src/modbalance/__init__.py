@@ -11,7 +11,6 @@ from .model import (
     BENIGN_TOL,
     BestResponseResult,
     EmptyBenignRegionError,
-    IllConditionedError,
     LinearModerator,
     Moderator,
     Population,

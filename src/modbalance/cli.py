@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -58,15 +59,16 @@ def _fields_schema(cls) -> dict:
 _MIXTURE = _fields_schema(MixtureSpec)
 _SOLVER = _fields_schema(SolverConfig)
 _ORACLE = _fields_schema(OracleConfig)  # its cap K is the max_violations key
+_TOY = inspect.signature(toy_disk).parameters
 
 _SCHEMAS = {
-    "generate": {**_MIXTURE, "seed": ("int", 0), "out": ("str", None)},
+    "generate": {**_MIXTURE, "seed": ("int", MixtureSpec.seed), "out": ("str", None)},
     "solve": {
         "data": ("str", None),
         "out": ("str", None),
         "moderator_out": ("str", ""),
-        "lam": ("float", 1.0),
-        "seed": ("int", 0),
+        "lam": ("float", SolverConfig.lam),
+        "seed": ("int", SolverConfig.seed),
         **_SOLVER,
     },
     "calibrate": {
@@ -74,14 +76,14 @@ _SCHEMAS = {
         "out": ("str", None),
         "max_violations": ("int", None),
         "delta": ("float", CalibrationTarget.delta),
-        "seed": ("int", 0),
+        "seed": ("int", SolverConfig.seed),
         **_SOLVER,
     },
     "sweep": {
         "out": ("str", None),
         "plot": ("bool", False),
         "seeds": ("int", 20),
-        "seed": ("int", 0),
+        "seed": ("int", SolverConfig.seed),
         "lambdas": ("floats", _DEFAULT_LAMBDAS),
         **_MIXTURE,
         **_SOLVER,
@@ -96,10 +98,10 @@ _SCHEMAS = {
     },
     "toy": {
         "out": ("str", None),
-        "samples": ("int", 100000),
+        "samples": ("int", _TOY["samples"].default),
         "theta_steps": ("int", 41),
-        "c": ("float", 0.5),
-        "seed": ("int", 0),
+        "c": ("float", _TOY["c"].default),
+        "seed": ("int", _TOY["seed"].default),
     },
 }
 
@@ -269,6 +271,8 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 
 def _cmd_sweep(params: dict) -> int:
+    if params["seeds"] < 1:
+        raise UsageError(f"seeds must be at least 1, got {params['seeds']}")
     lambdas = params["lambdas"]
     rows = []
     for s in range(params["seed"], params["seed"] + params["seeds"]):
@@ -346,6 +350,8 @@ def _cmd_oracle(params: dict) -> int:
 
 
 def _cmd_toy(params: dict) -> int:
+    if params["theta_steps"] < 1:
+        raise UsageError(f"theta_steps must be at least 1, got {params['theta_steps']}")
     thetas = np.linspace(-1.0, 1.0, params["theta_steps"])
     points = toy_disk(thetas, c=params["c"], samples=params["samples"], seed=params["seed"])
     rows = [(theta, dm, fos) for theta, dm, fos in points]

@@ -5,7 +5,8 @@ quadratic cost ``c`` per unit of squared displacement when rewriting it. A
 moderator assigns every candidate vector a harmfulness score; content with a
 nonpositive score is benign (published), positive means filtered. Facing a
 moderator, a rational user shifts toward the trend direction as far as the
-benign region allows, which this module resolves in closed form.
+benign region allows, which this module resolves in closed form: each
+moderator type has one projection that takes a point (d,) or rows (k, d).
 
 A :class:`Population` is three read-only things: a feature matrix (n, d), a
 cost vector (n,) and the trend. :func:`best_responses` resolves every user of
@@ -31,10 +32,6 @@ MAX_POLYTOPE_FACES = 12
 
 class EmptyBenignRegionError(ValueError):
     """No feasible point exists: the moderator's benign region is empty."""
-
-
-class IllConditionedError(np.linalg.LinAlgError):
-    """An active set's stacked normals are rank-deficient."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -156,13 +153,14 @@ class Population:
 
 
 class Moderator:
-    """Scoring interface: ``score(z) <= 0`` means ``z`` is benign."""
-
-    def score(self, z) -> float:
-        raise NotImplementedError
+    """Scoring interface: ``score(z) <= 0`` means ``z`` is benign; subclasses
+    define ``score_many``, the scores (k,) of rows (k, d)."""
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
-        return np.array([self.score(z) for z in Z])
+        raise NotImplementedError
+
+    def score(self, z) -> float:
+        return float(self.score_many(np.asarray(z, dtype=np.float64)[None])[0])
 
     def is_benign(self, z) -> bool:
         return self.score(z) <= BENIGN_TOL
@@ -180,9 +178,6 @@ class LinearModerator(Moderator):
         object.__setattr__(self, "b", float(self.b))
         if not np.any(np.abs(self.w) > 0):
             raise ValueError("moderator normal w must be nonzero")
-
-    def score(self, z) -> float:
-        return float(np.dot(self.w, z) + self.b)
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         return Z @ self.w + self.b
@@ -211,6 +206,9 @@ class PolytopeModerator(Moderator):
             w = _as_vector(w, f"w[{j}]")
             if not np.any(np.abs(w) > 0):
                 raise ValueError(f"halfspace {j} has zero normal")
+            if faces and w.size != faces[0][0].size:
+                raise ValueError(f"halfspace {j} has dimension {w.size}, "
+                                 f"but halfspace 0 has dimension {faces[0][0].size}")
             faces.append((w, float(b)))
         if not faces:
             raise ValueError("polytope moderator needs at least one halfspace")
@@ -226,18 +224,12 @@ class PolytopeModerator(Moderator):
     def m(self) -> int:
         return len(self.halfspaces)
 
-    def score(self, z) -> float:
-        return float(np.max(self.normals @ np.asarray(z, dtype=np.float64) + self.offsets))
-
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         return np.max(Z @ self.normals.T + self.offsets, axis=1)
 
 
 class TrivialModerator(Moderator):
     """The do-nothing moderator: everything is benign."""
-
-    def score(self, z) -> float:
-        return -np.inf
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         return np.full(Z.shape[0], -np.inf)
@@ -284,53 +276,39 @@ def utility(z, u: UserProfile, e: Trend, f: Moderator) -> float:
 
 
 def project_hyperplane(z, f: LinearModerator) -> np.ndarray:
-    """L2 projection of ``z`` onto the decision boundary {w.z + b = 0}."""
+    """L2 projection of ``z`` (d,) or of its rows (k, d) onto {w.z + b = 0}."""
     z = np.asarray(z, dtype=np.float64)
-    w = f.w
-    return z - ((np.dot(w, z) + f.b) / np.dot(w, w)) * w
-
-
-def _project_active_set(z: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Project ``z`` onto the affine set {p : A p + b = 0}; A must be full rank."""
-    if np.linalg.matrix_rank(A) < A.shape[0]:
-        raise IllConditionedError("active-set normal matrix is rank-deficient")
-    residual = A @ z + b
-    multipliers = np.linalg.solve(A @ A.T, residual)
-    return z - A.T @ multipliers
+    return z - ((z @ f.w + f.b) / np.dot(f.w, f.w))[..., None] * f.w
 
 
 def project_polytope(z, f: PolytopeModerator) -> np.ndarray:
-    """Nearest point of the benign region, by active-set enumeration.
+    """Nearest benign point to ``z`` (d,) or to each of its rows (k, d).
 
-    Tries every subset of faces as the active set, projects onto its affine
-    intersection, and keeps the closest candidate feasible for all faces.
+    A row feasible within 1e-9 (1 + |z|) is its own projection. Otherwise each
+    subset of at most d faces with independent normals is an active set: all
+    rows are projected onto its affine intersection at once, and each row
+    keeps its first strictly closest candidate feasible for every face.
     Exact for convex polyhedra; cost is 2^m projections.
     """
     z = np.asarray(z, dtype=np.float64)
+    Z = np.atleast_2d(z)
     A, b = f.normals, f.offsets
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(z)))
-    if np.max(A @ z + b) <= tol:
-        return z
-    best = None
-    best_dist = np.inf
-    m = f.m
-    for r in range(1, min(m, z.shape[0]) + 1):
-        for subset in itertools.combinations(range(m), r):
-            idx = list(subset)
-            try:
-                p = _project_active_set(z, A[idx], b[idx])
-            except IllConditionedError:
+    tol = 1e-9 * (1.0 + np.linalg.norm(Z, axis=1))
+    best = Z.copy()
+    best_dist = np.where(np.max(Z @ A.T + b, axis=1) <= tol, 0.0, np.inf)
+    for r in range(1, min(f.m, Z.shape[1]) + 1):
+        for subset in itertools.combinations(range(f.m), r):
+            As, bs = A[list(subset)], b[list(subset)]
+            if np.linalg.matrix_rank(As) < r:
                 continue
-            if np.max(A @ p + b) > tol:
-                continue
-            dist = float(np.dot(p - z, p - z))
-            if dist < best_dist:
-                best, best_dist = p, dist
-    if best is None:
+            P = Z - np.linalg.solve(As @ As.T, (Z @ As.T + bs).T).T @ As
+            dist = np.sum((P - Z) ** 2, axis=1)
+            take = (np.max(P @ A.T + b, axis=1) <= tol) & (dist < best_dist)
+            best[take], best_dist[take] = P[take], dist[take]
+    if np.any(np.isinf(best_dist)):
         raise EmptyBenignRegionError(
-            "no feasible projection candidate: benign region appears empty"
-        )
-    return best
+            "no feasible projection candidate: benign region appears empty")
+    return best.reshape(z.shape)
 
 
 def _project_benign(z: np.ndarray, f: Moderator) -> np.ndarray:
@@ -368,18 +346,12 @@ def best_response(u: UserProfile, e: Trend, f: Moderator) -> BestResponseResult:
     return BestResponseResult(u.x, ResponseCase.STAY_FILTERED, True, 0.0)
 
 
-def _project_benign_rows(Z: np.ndarray, f: Moderator) -> np.ndarray:
-    if isinstance(f, LinearModerator):
-        return Z - ((Z @ f.w + f.b) / np.dot(f.w, f.w))[:, None] * f.w
-    return np.array([_project_benign(z, f) for z in Z])
-
-
 def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarray]:
     """Every user's :func:`best_response` in one array pass: z* (n, d) and
     each user's :class:`ResponseCase` code (n,).
 
-    Only users whose ideal point is filtered are projected: halfspaces in
-    closed form, polytopes row by row through :func:`project_polytope`.
+    Only users whose ideal point is filtered are projected, all in one call
+    of their moderator type's projection.
     """
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
     Z = X + e / (2.0 * costs)[:, None]
@@ -387,7 +359,7 @@ def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarra
     out = f.score_many(Z) > BENIGN_TOL
     if not np.any(out):
         return Z, cases
-    P = _project_benign_rows(Z[out], f)
+    P = _project_benign(Z[out], f)
     Xo = X[out]
     utility_p = P @ e - costs[out] * np.sum((P - Xo) ** 2, axis=1)
     origin_benign = f.score_many(Xo) <= BENIGN_TOL

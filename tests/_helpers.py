@@ -1,10 +1,14 @@
 """Shared test oracles: exhaustive utility grids, regime sampling, random
-moderated populations, the exact penalized objective, the oracle's
-candidate set built by nested loops, and PGD run one restart at a time."""
+moderated populations, polytope projection one point at a time, the exact
+penalized objective, the oracle's candidate set built by nested loops, and
+PGD run one restart at a time."""
+
+import itertools
 
 import numpy as np
 
 from modbalance import (
+    EmptyBenignRegionError,
     LinearModerator,
     Population,
     PolytopeModerator,
@@ -130,6 +134,59 @@ def random_moderated_population(rng, kind):
     if kind == "halfspace":
         return pop, LinearModerator(*faces[0])
     return pop, PolytopeModerator(tuple(faces))
+
+
+def reference_project_polytope(z, f):
+    """Nearest benign point to one point ``z`` (d,), by definition.
+
+    Returns ``z`` when it is feasible within 1e-9 (1 + |z|). Otherwise tries
+    every subset of at most d faces as the active set, skipping subsets with
+    rank-deficient normals, projects ``z`` onto its affine intersection, and
+    keeps the first strictly closest candidate feasible for every face.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    A, b = f.normals, f.offsets
+    tol = 1e-9 * (1.0 + float(np.linalg.norm(z)))
+    if np.max(A @ z + b) <= tol:
+        return z
+    best = None
+    best_dist = np.inf
+    for r in range(1, min(f.m, z.shape[0]) + 1):
+        for subset in itertools.combinations(range(f.m), r):
+            As, bs = A[list(subset)], b[list(subset)]
+            if np.linalg.matrix_rank(As) < r:
+                continue
+            p = z - As.T @ np.linalg.solve(As @ As.T, As @ z + bs)
+            if np.max(A @ p + b) > tol:
+                continue
+            dist = float(np.dot(p - z, p - z))
+            if dist < best_dist:
+                best, best_dist = p, dist
+    if best is None:
+        raise EmptyBenignRegionError("no feasible projection candidate")
+    return best
+
+
+def random_polytope(rng, d, m):
+    """Polytope of ``m`` faces in ``d`` dimensions with the origin strictly
+    benign; some faces repeat an earlier one exactly, or scaled (the same
+    hyperplane), or parallel at another offset."""
+    faces = []
+    for _ in range(m):
+        w, b = rng.normal(size=d), -float(rng.uniform(0.2, 1.5))
+        kind = rng.integers(4) if faces else 0
+        if kind == 1:
+            w, b = faces[int(rng.integers(len(faces)))]
+        elif kind == 2:
+            s = float(rng.uniform(0.5, 3.0))
+            w, b = faces[int(rng.integers(len(faces)))]
+            w, b = s * w, s * b
+        elif kind == 3:
+            w = faces[int(rng.integers(len(faces)))][0]
+        if np.linalg.norm(w) < 1e-6:
+            w = np.eye(d)[0]
+        faces.append((w, b))
+    return PolytopeModerator(tuple(faces))
 
 
 def loop_candidates(pop, cfg):

@@ -1,11 +1,12 @@
 """End-to-end CLI runs: files, footers, determinism, exit codes."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from modbalance import CalibrationTarget, MixtureSpec, OracleConfig, SolverConfig
+from modbalance import CalibrationTarget, MixtureSpec, OracleConfig, SolverConfig, toy_disk
 from modbalance.cli import _SCHEMAS, SWEEP_HEADER, run
 
 
@@ -67,6 +68,8 @@ class TestDefaults:
         assert _SCHEMAS["solve"]["lam"][1] == default(SolverConfig, "lam")
         for command in ("solve", "calibrate", "sweep"):
             assert _SCHEMAS[command]["seed"][1] == default(SolverConfig, "seed")
+        for key in ("samples", "c", "seed"):
+            assert _SCHEMAS["toy"][key][1] == inspect.signature(toy_disk).parameters[key].default
 
 
 class TestGenerate:
@@ -191,6 +194,13 @@ class TestSweep:
         assert svg_first.startswith(b"<svg ")
         assert b"polyline" in svg_first and b"polygon" in svg_first
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_exits_two_without_output(self, tmp_path, capsys, seeds):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--seeds", seeds, "--out", str(out), "--plot"]) == 2
+        assert f"seeds must be at least 1, got {seeds}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "s.svg").exists()
+
     def test_footer_reruns_the_job(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--out", str(out), "--seeds", "1", "--seed", "2",
@@ -244,6 +254,13 @@ class TestToy:
         assert len(rows) == 22
         fos = [float(r.split(",")[2]) for r in rows[1:]]
         assert all(b >= a for a, b in zip(fos, fos[1:]))
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_empty_grid_exits_two_without_output(self, tmp_path, capsys, steps):
+        out = tmp_path / "toy.csv"
+        assert run(["toy", "--out", str(out), "--theta-steps", steps]) == 2
+        assert f"theta_steps must be at least 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modbalance.model as model
 from modbalance import (
     EmptyBenignRegionError,
     LinearModerator,
@@ -24,7 +25,13 @@ from modbalance import (
 E10 = Trend([1.0, 0.0])
 
 
-from _helpers import grid_max_utility, in_strategic_regime, random_moderated_population
+from _helpers import (
+    grid_max_utility,
+    in_strategic_regime,
+    random_moderated_population,
+    random_polytope,
+    reference_project_polytope,
+)
 
 
 class TestTypes:
@@ -53,6 +60,11 @@ class TestTypes:
     def test_population_nonempty(self):
         with pytest.raises(ValueError):
             Population.from_arrays(np.empty((0, 2)), [], E10.e)
+
+    def test_polytope_faces_must_share_a_dimension(self):
+        msg = "halfspace 1 has dimension 3, but halfspace 0 has dimension 2"
+        with pytest.raises(ValueError, match=msg):
+            PolytopeModerator((([1.0, 0.0], 0.0), ([1.0, 0.0, 0.0], 0.0)))
 
     def test_inputs_are_immutable(self):
         u = UserProfile([1.0, 2.0], 1.0)
@@ -221,6 +233,43 @@ class TestProjectPolytope:
         # x1 <= -1 and x1 >= 1 simultaneously
         with pytest.raises(EmptyBenignRegionError):
             project_polytope([0.0, 0.0], empty)
+        with pytest.raises(EmptyBenignRegionError):
+            project_polytope([[0.0, 0.0], [3.0, 1.0]], empty)
+
+    def test_rows_match_one_point_reference(self):
+        # d 1-5, m 1-6 with repeated and parallel faces, feasible and infeasible rows
+        rng = np.random.default_rng(8)
+        feasible = 0
+        for _ in range(60):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            poly = random_polytope(rng, d, m)
+            Z = rng.normal(scale=2.0, size=(20, d))
+            P = project_polytope(Z, poly)
+            assert P.shape == Z.shape
+            for z, p in zip(Z, P):
+                ref = reference_project_polytope(z, poly)
+                np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(project_polytope(z, poly), p, rtol=0, atol=1e-12)
+            feasible += int(np.sum(poly.score_many(Z) <= 0))
+        assert 0 < feasible < 60 * 20
+
+    def test_feasible_rows_are_their_own_projection(self):
+        Z = np.array([[-0.5, -2.0], [1.0, 1.0], [0.0, -3.0], [2.0, -1.0]])
+        P = project_polytope(Z, self.quadrant)
+        np.testing.assert_array_equal(P[[0, 2]], Z[[0, 2]])
+        np.testing.assert_allclose(P[[1, 3]], [[0.0, 0.0], [0.0, -1.0]])
+
+    def test_equidistant_candidates_break_to_the_first_face(self):
+        # a wedge so thin that both faces' projections of (0, -1) are feasible
+        # within tolerance and mirror images at exactly equal distance
+        k = 1e-5
+        wedge = PolytopeModerator((([k, -1.0], 0.0), ([-k, -1.0], 0.0)))
+        Z = np.array([[0.0, -1.0], [3.0, 2.0]])
+        P = project_polytope(Z, wedge)
+        assert P[0, 0] < 0.0
+        np.testing.assert_array_equal(project_polytope(Z[0], wedge), P[0])
+        for z, p in zip(Z, P):
+            np.testing.assert_allclose(p, reference_project_polytope(z, wedge), rtol=0, atol=1e-12)
 
     def test_random_polytopes_match_brute_force(self):
         # independent oracle: dense grid minimization of |p - z| over feasible points
@@ -402,3 +451,17 @@ class TestBestResponses:
         pop = Population.from_arrays([[0.0, 0.0]], [0.5], E10.e)
         with pytest.raises(EmptyBenignRegionError):
             best_responses(pop, empty)
+
+    def test_polytope_rows_are_projected_in_one_call(self, monkeypatch):
+        calls, project = [], model.project_polytope
+        monkeypatch.setattr(
+            model, "project_polytope", lambda z, f: calls.append(z) or project(z, f)
+        )
+        box = PolytopeModerator((([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)))
+        X = [[0.2, 0.0], [0.5, 0.5], [3.0, 0.0], [-4.0, 0.0]]
+        Z, cases = best_responses(Population.from_arrays(X, [0.5] * 4, E10.e), box)
+        assert len(calls) == 1 and calls[0].shape == (3, 2)
+        assert list(cases) == [
+            ResponseCase.PROJECTED, ResponseCase.PROJECTED,
+            ResponseCase.STAY_FILTERED, ResponseCase.UNCONSTRAINED,
+        ]
