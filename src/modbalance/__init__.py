@@ -45,18 +45,14 @@ from .solver import (
     NonPositiveAError,
     SolveResult,
     SolverConfig,
-    TradeoffPoint,
     calibrate_lambda,
     derive_seed,
     lambda_max,
-    penalty_value,
     pgd_solve,
     polish_penalized,
     surrogate_gradient,
     surrogate_loss,
     sweep_lambda,
-    violation_count,
-    violation_vector,
 )
 from .oracle import (
     NoFeasibleCandidateError,

@@ -27,11 +27,8 @@ from .solver import (
     CalibrationTarget,
     SolverConfig,
     calibrate_lambda,
-    penalty_value,
     pgd_solve,
     sweep_lambda,
-    violation_count,
-    violation_vector,
 )
 from .svgplot import Series, render_plot
 
@@ -106,13 +103,15 @@ _SCHEMAS = {
 }
 
 
-def _fmt_value(kind: str, value) -> str:
-    if kind == "float":
-        return format(float(value), ".17g")
-    if kind == "floats":
-        return ",".join(format(float(v), ".17g") for v in value)
-    if kind == "bool":
+def _fmt(value) -> str:
+    """A CSV cell, footer value or help default: floats at 17 significant
+    digits, lists comma-joined, bools as true/false."""
+    if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, list):
+        return ",".join(_fmt(float(v)) for v in value)
     return str(value)
 
 
@@ -173,21 +172,12 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _footer_lines(command: str, params: dict) -> list[str]:
-    schema = _SCHEMAS[command]
-    return [f"# {key} = {_fmt_value(schema[key][0], params[key])}" for key in sorted(schema)]
-
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return [f"# {key} = {_fmt(params[key])}" for key in sorted(_SCHEMAS[command])]
 
 
 def _write_csv(path: str, header: str, rows: list[tuple], footer: list[str]) -> None:
     lines = [header]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     lines.extend(footer)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -202,7 +192,7 @@ def _solver_config(params: dict, lam: float, seed: int) -> SolverConfig:
 
 
 def _result_fields(result) -> tuple:
-    """A solve's columns after lambda, in ``_RESULT_HEADER`` order."""
+    """A solve's columns from dm on, in ``_RESULT_HEADER`` order."""
     m = result.metrics
     return (
         result.dm,
@@ -234,12 +224,15 @@ def _write_moderator(path: str, moderator, footer: list[str]) -> None:
 
 
 def _cmd_solve(params: dict) -> int:
+    out = params["out"]
+    moderator_out = _second_output(
+        out, params["moderator_out"] or _with_suffix(out, ".moderator.csv")
+    )
     pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=params["lam"], seed=params["seed"])
     result = pgd_solve(pop, cfg)
     footer = _footer_lines("solve", params)
-    _write_csv(params["out"], _RESULT_HEADER, [(params["lam"], *_result_fields(result))], footer)
-    moderator_out = params["moderator_out"] or _with_suffix(params["out"], ".moderator.csv")
+    _write_csv(out, _RESULT_HEADER, [(params["lam"], *_result_fields(result))], footer)
     _write_moderator(moderator_out, result.moderator, footer)
     return 0
 
@@ -249,7 +242,6 @@ def _cmd_calibrate(params: dict) -> int:
     cfg = _solver_config(params, lam=0.0, seed=params["seed"])
     target = CalibrationTarget(K=params["max_violations"], delta=params["delta"])
     outcome = calibrate_lambda(pop, target, cfg)
-    violations = violation_count(violation_vector(pop, outcome.result.moderator))
     header = (
         "lambda,feasible,violations,solve_count,dm,fos_desired,fos_retained,"
         "filtered_count,objective,iterations,converged"
@@ -257,7 +249,7 @@ def _cmd_calibrate(params: dict) -> int:
     row = (
         outcome.lam,
         outcome.feasible,
-        violations,
+        outcome.result.violations,
         outcome.solve_count,
         *_result_fields(outcome.result),
     )
@@ -270,19 +262,29 @@ def _with_suffix(path: str, suffix: str) -> str:
     return base + suffix
 
 
+def _second_output(out: str, path: str) -> str:
+    """``path`` for a job's second file, refused if it would overwrite ``out``."""
+    if os.path.abspath(path) == os.path.abspath(out):
+        raise UsageError(f"second output {path} would overwrite --out {out}")
+    return path
+
+
 def _cmd_sweep(params: dict) -> int:
     if params["seeds"] < 1:
         raise UsageError(f"seeds must be at least 1, got {params['seeds']}")
+    plot_out = None
+    if params["plot"]:
+        plot_out = _second_output(params["out"], _with_suffix(params["out"], ".svg"))
     lambdas = params["lambdas"]
     rows = []
     for s in range(params["seed"], params["seed"] + params["seeds"]):
         pop = data_mod.generate(_mixture_spec(params, s))
         cfg = _solver_config(params, lam=0.0, seed=s)
-        # a TradeoffPoint's fields are the SWEEP_HEADER columns, in order
-        rows.extend(dataclasses.astuple(p) for p in sweep_lambda(pop, lambdas, cfg))
+        results = sweep_lambda(pop, lambdas, cfg)
+        rows.extend((lam, s, *_result_fields(r)) for lam, r in zip(lambdas, results))
     _write_csv(params["out"], SWEEP_HEADER, rows, _footer_lines("sweep", params))
-    if params["plot"]:
-        _write_sweep_plot(_with_suffix(params["out"], ".svg"), lambdas, rows)
+    if plot_out:
+        _write_sweep_plot(plot_out, lambdas, rows)
     return 0
 
 
@@ -330,15 +332,14 @@ def _cmd_oracle(params: dict) -> int:
         result = oracle_2d(pop, cfg)
     else:
         raise UsageError(f"mode must be 'constrained' or 'penalized', got {mode!r}")
-    g = violation_vector(pop, result.moderator)
     header = "mode,lambda,k_max,dm,violations,penalty,objective,w_0,w_1,b,candidates"
     row = (
         mode,
         params["lam"],
         params["max_violations"],
         result.dm,
-        violation_count(g),
-        penalty_value(g),
+        result.violations,
+        result.penalty,
         result.objective,
         float(result.moderator.w[0]),
         float(result.moderator.w[1]),
@@ -386,7 +387,7 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", default=None, help="flat 'key = value' config file")
     for key, (kind, default) in _SCHEMAS[command].items():
         flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-        helptext = f"default: {_fmt_value(kind, default)}" if default is not None else "required"
+        helptext = f"default: {_fmt(default)}" if default is not None else "required"
         if kind == "bool":
             parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
                                 default=None, help=helptext)

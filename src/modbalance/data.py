@@ -165,6 +165,10 @@ def load(path) -> Population:
         raise DatasetFormatError(
             f"trend has {trend.shape[0]} coordinates, expected {d}", header_no
         )
+    if not (np.all(np.isfinite(trend)) and np.linalg.norm(trend) > 0):
+        raise DatasetFormatError(
+            f"trend must be finite and nonzero, got {meta['trend']}", header_no
+        )
 
     if not rows:
         raise DatasetFormatError("empty population: header present but no data rows")

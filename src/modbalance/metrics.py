@@ -12,9 +12,9 @@ are the by-definition references it is checked against.
 Halfspaces also have a closed form that simulates no responses:
 ``halfspace_scores`` gives DM, the squared ideal-point hinge penalty and the
 violation count of a batch of halfspaces. It is the one place that scores a
-halfspace: ``dm_closed_form_linear``, the solver's exact penalized objective
-and the d = 2 oracles all call it, and like ``best_responses`` it counts a
-score <= ``BENIGN_TOL`` as benign.
+halfspace: ``dm_closed_form_linear``, every ``SolveResult``, the solver's
+exact penalized objective and the d = 2 oracles all call it, and like
+``best_responses`` it counts a score <= ``BENIGN_TOL`` as benign.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ exactness on point-incident optima) boundaries through every pair drawn from
 the data and ideal points. The candidate set is built from arrays and scored
 by :func:`~modbalance.metrics.halfspace_scores`, the closed form every other
 halfspace score in the package uses, so the oracles count mitigation and
-violations with the same ``BENIGN_TOL`` as ``metrics`` and ``violation_count``.
+violations with the same ``BENIGN_TOL`` as ``metrics``. The returned
+``SolveResult`` re-scores the winner by one ``halfspace_scores`` row, as every
+solver's result does.
 
 The candidate grids are nested under doubling of their step counts, so
 refining the search can only improve the reported optimum.
@@ -122,7 +124,7 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
         )
     masked = np.where(feasible, dm, -np.inf)
     best = int(np.argmax(masked))
-    return _solve_result(pop, W[best], B[best], -dm[best], W.shape[0], True, dm=dm[best])
+    return _solve_result(pop, W[best], B[best], -dm[best], W.shape[0], True)
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
@@ -134,7 +136,7 @@ def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> Solve
     dm, penalty, _ = halfspace_scores(pop, W, B)
     objective = -dm + lam * penalty
     best = int(np.argmin(objective))
-    return _solve_result(pop, W[best], B[best], objective[best], W.shape[0], True, dm=dm[best])
+    return _solve_result(pop, W[best], B[best], objective[best], W.shape[0], True)
 
 
 def toy_disk(
@@ -150,8 +152,8 @@ def toy_disk(
     theta_grid = [float(t) for t in theta_grid]
     if any(t < -1.0 or t > 1.0 for t in theta_grid):
         raise ValueError("theta values must lie in [-1, 1]")
-    if c <= 0:
-        raise ValueError("cost c must be positive")
+    if not (c > 0 and np.isfinite(c)):
+        raise ValueError(f"manipulation cost c must be positive, got {c}")
     if samples < 1:
         raise ValueError("samples must be positive")
 

@@ -15,16 +15,21 @@ to zero as y -> -inf, so far-benign users exert no pull. The right branch
 equals lam * (w.x + b)^2 - a^2: it charges the squared score of the user's
 *origin* once the origin is filtered, and nothing while the origin is benign,
 however far the ideal point x + e/2c lies past the boundary. Its lam is
-therefore not the lam of ``penalty_value``, which charges the squared hinge of
-every filtered *ideal point*. The sum is minimized by projected gradient
-descent under the box |w_j| <= 1, all restarts at once as the columns of a
-(d, R) iterate, each column with its own step that grows when the Armijo
-rule accepts a trial point and halves when it rejects one.
+therefore not the lam of the exact penalized objective -DM + lam * penalty,
+whose penalty charges the squared hinge of every filtered *ideal point*. The
+sum is minimized by projected gradient descent under the box |w_j| <= 1, all
+restarts at once as the columns of a (d, R) iterate, each column with its own
+step that grows when the Armijo rule accepts a trial point and halves when it
+rejects one.
 
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
 any halfspace (typically the PGD solution); it is the same objective as the
 d = 2 reference ``oracle_penalized_2d``, in any dimension.
+
+Every solver here and both oracles return a ``SolveResult``, the one record of
+a solve. It scores its moderator once, by a one-row ``halfspace_scores`` call:
+DM, the squared ideal-point hinge penalty and the violation count.
 """
 
 from __future__ import annotations
@@ -34,24 +39,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import MetricReport, dm_closed_form_linear, halfspace_scores, metrics
-from .model import BENIGN_TOL, LinearModerator, Population
+from .metrics import MetricReport, halfspace_scores, metrics
+from .model import LinearModerator, Population
 
 __all__ = [
     "SolverConfig",
     "CalibrationTarget",
     "CalibrationOutcome",
     "SolveResult",
-    "TradeoffPoint",
     "NonPositiveAError",
     "DegenerateSolutionError",
     "surrogate_loss",
     "surrogate_gradient",
     "pgd_solve",
     "polish_penalized",
-    "violation_vector",
-    "violation_count",
-    "penalty_value",
     "lambda_max",
     "calibrate_lambda",
     "sweep_lambda",
@@ -130,13 +131,18 @@ class CalibrationTarget:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solved moderator with its diagnostics.
+    """A solved moderator with its diagnostics; the one record of a solve.
+
+    ``dm``, ``penalty`` and ``violations`` score the returned moderator by one
+    ``halfspace_scores`` row: total mitigation, the squared ideal-point hinge
+    penalty sum_i max(0, y_i)^2 and the count #{y_i > BENIGN_TOL}, where y_i
+    is user i's ideal-point score. ``metrics`` is the best-response report of
+    the same moderator; its own ``dm`` is summed from the responses.
 
     ``objective`` is the value of the producing search: the summed surrogate
-    loss for the PGD solver, the exact penalized objective
-    -DM + lam * penalty_value(violation_vector(...)) of the returned moderator
-    for ``polish_penalized``, and the penalized/constrained search objective
-    for the brute-force oracles.
+    loss for the PGD solver, the exact penalized objective -dm + lam * penalty
+    of the returned moderator for ``polish_penalized``, and the
+    penalized/constrained search objective for the brute-force oracles.
 
     ``iterations_used`` and ``converged`` describe the winning search only.
     For the PGD solver that is the first restart with the lowest objective:
@@ -149,23 +155,10 @@ class SolveResult:
     moderator: LinearModerator
     objective: float
     dm: float
+    penalty: float
+    violations: int
     metrics: MetricReport
     iterations_used: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One record of a lambda sweep; ``seed`` is the sweep's base seed."""
-
-    lam: float
-    seed: int
-    dm: float
-    fos_desired: float
-    fos_retained: float
-    filtered_count: int
-    objective: float
-    iterations: int
     converged: bool
 
 
@@ -245,25 +238,6 @@ def surrogate_gradient(
     return grad_W[:, 0], float(grad_B[0])
 
 
-def violation_vector(pop: Population, f: LinearModerator) -> np.ndarray:
-    """Per-user hinge on the ideal point's score: max(0, w.(x + e/2c) + b)."""
-    y = pop.feature_matrix @ f.w + f.b + float(np.dot(f.w, pop.trend.e)) / (
-        2.0 * pop.costs
-    )
-    return np.maximum(y, 0.0)
-
-
-def violation_count(g: np.ndarray) -> int:
-    """Number of users whose ideal point is filtered: hinges above BENIGN_TOL."""
-    return int(np.count_nonzero(g > BENIGN_TOL))
-
-
-def penalty_value(g: np.ndarray) -> float:
-    """Squared-l2 soft penalty of the hinge vector, summed as
-    ``halfspace_scores`` sums it."""
-    return float(np.sum(g * g))
-
-
 def lambda_max(pop: Population) -> float:
     """Upper bound on achievable mitigation, plus one: a safe bisection cap.
 
@@ -291,13 +265,12 @@ def _initial_point(
     return w, b
 
 
-def _solve_result(
-    pop: Population, w, b, objective, iterations, converged, dm=None
-) -> SolveResult:
-    """The SolveResult of halfspace (w, b); ``dm`` defaults to its closed form."""
+def _solve_result(pop: Population, w, b, objective, iterations, converged) -> SolveResult:
+    """The SolveResult of halfspace (w, b), scored by one ``halfspace_scores`` row."""
     f = LinearModerator(w, b)
-    dm = dm_closed_form_linear(pop, f) if dm is None else float(dm)
-    return SolveResult(f, float(objective), dm, metrics(pop, f), int(iterations), bool(converged))
+    dm, penalty, violations = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
+    return SolveResult(f, float(objective), float(dm[0]), float(penalty[0]), int(violations[0]),
+                       metrics(pop, f), int(iterations), bool(converged))
 
 
 # Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
@@ -472,7 +445,7 @@ def _pattern_search(pop: Population, f: LinearModerator, J: float, lam: float):
 def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveResult:
     """Minimize the exact penalized objective over unit-normal halfspaces.
 
-    The objective is -DM + lam * penalty_value(violation_vector(...)), the one
+    The objective is -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2, the one
     ``oracle_penalized_2d`` minimizes, in any dimension. Two pattern searches
     over the normal's direction run, one from f's normal and one from the
     trend, each scoring a direction at its exact best offset; the better
@@ -546,7 +519,7 @@ def calibrate_lambda(
     cap = lambda_max(pop)
     result_cap = solve_at(cap, 0)
     solves = 1
-    if violation_count(violation_vector(pop, result_cap.moderator)) > target.K:
+    if result_cap.violations > target.K:
         return CalibrationOutcome(cap, result_cap, False, solves)
 
     best_lam, best_result = cap, result_cap
@@ -557,7 +530,7 @@ def calibrate_lambda(
         result = solve_at(mid, step_index)
         solves += 1
         step_index += 1
-        if violation_count(violation_vector(pop, result.moderator)) > target.K:
+        if result.violations > target.K:
             lo = mid
         else:
             hi = mid
@@ -566,19 +539,15 @@ def calibrate_lambda(
     return CalibrationOutcome(best_lam, best_result, True, solves)
 
 
-def sweep_lambda(pop: Population, lambdas, cfg: SolverConfig) -> list[TradeoffPoint]:
-    """Independent solve per lambda; seeds offset deterministically by index."""
+def sweep_lambda(pop: Population, lambdas, cfg: SolverConfig) -> list[SolveResult]:
+    """Independent solve per lambda, returned in grid order; seeds offset
+    deterministically by index."""
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("lambdas must be nonempty")
     if not all(np.isfinite(l) and l >= 0 for l in lambdas):
         raise ValueError(f"lambdas must be nonnegative and finite, got {lambdas}")
-    points = []
-    for j, lam in enumerate(lambdas):
-        sub = replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j))
-        result = pgd_solve(pop, sub)
-        m = result.metrics
-        points.append(TradeoffPoint(
-            lam, cfg.seed, result.dm, m.fos_desired, m.fos_retained, m.filtered_count,
-            result.objective, result.iterations_used, result.converged))
-    return points
+    return [
+        pgd_solve(pop, replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j)))
+        for j, lam in enumerate(lambdas)
+    ]

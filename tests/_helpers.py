@@ -1,13 +1,14 @@
 """Shared test oracles: exhaustive utility grids, regime sampling, random
-moderated populations, polytope projection one point at a time, the exact
-penalized objective, the oracle's candidate set built by nested loops, and
-PGD run one restart at a time."""
+moderated populations, polytope projection one point at a time, the
+ideal-point hinge and the exact penalized objective, the oracle's candidate
+set built by nested loops, and PGD run one restart at a time."""
 
 import itertools
 
 import numpy as np
 
 from modbalance import (
+    BENIGN_TOL,
     EmptyBenignRegionError,
     LinearModerator,
     Population,
@@ -16,8 +17,6 @@ from modbalance import (
     best_response,
     dm_closed_form_linear,
     ideal_point,
-    penalty_value,
-    violation_vector,
 )
 from modbalance.solver import _branch_terms, _initial_point
 
@@ -98,9 +97,28 @@ def random_regime_instance(rng, d):
             return u, e, f
 
 
+def ideal_hinge(pop, f):
+    """Per-user hinge on the ideal point's score: max(0, w.(x + e/2c) + b)."""
+    y = pop.feature_matrix @ f.w + f.b + float(np.dot(f.w, pop.trend.e)) / (
+        2.0 * pop.costs
+    )
+    return np.maximum(y, 0.0)
+
+
+def hinge_penalty(pop, f):
+    """Squared ideal-point hinges, summed."""
+    g = ideal_hinge(pop, f)
+    return float(np.sum(g * g))
+
+
+def hinge_violations(pop, f):
+    """Number of users whose ideal point is filtered: hinges above BENIGN_TOL."""
+    return int(np.count_nonzero(ideal_hinge(pop, f) > BENIGN_TOL))
+
+
 def penalized_objective(pop, f, lam):
     """Exact penalized objective J = -DM + lam * squared ideal-point hinges."""
-    return -dm_closed_form_linear(pop, f) + lam * penalty_value(violation_vector(pop, f))
+    return -dm_closed_form_linear(pop, f) + lam * hinge_penalty(pop, f)
 
 
 def random_moderated_population(rng, kind):

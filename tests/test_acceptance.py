@@ -9,7 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import grid_max_utility, penalized_objective, random_regime_instance
+from _helpers import (
+    grid_max_utility,
+    hinge_penalty,
+    hinge_violations,
+    penalized_objective,
+    random_regime_instance,
+)
 from modbalance import (
     CalibrationTarget,
     MixtureSpec,
@@ -26,15 +32,12 @@ from modbalance import (
     ideal_point,
     lambda_max,
     oracle_penalized_2d,
-    penalty_value,
     pgd_solve,
     polish_penalized,
     surrogate_gradient,
     surrogate_loss,
     sweep_lambda,
     toy_disk,
-    violation_count,
-    violation_vector,
 )
 from modbalance.cli import run
 
@@ -252,7 +255,7 @@ def test_criterion_06_exact_penalty_monotonicity():
         prev_dm, prev_pen = np.inf, np.inf
         for lam in (0.1, 1.0, 10.0, 100.0):
             res = oracle_penalized_2d(pop, lam, cfg)
-            pen = penalty_value(violation_vector(pop, res.moderator))
+            pen = hinge_penalty(pop, res.moderator)
             worst = max(worst, res.dm - prev_dm, pen - prev_pen)
             prev_dm, prev_pen = res.dm, pen
     report(6, "exact minimizers monotone in penalty strength", worst <= 1e-9,
@@ -265,9 +268,9 @@ def _sweep_shape(d, seeds=20):
     dm = np.zeros((seeds, len(grid)))
     for s in range(seeds):
         pop = generate(MixtureSpec(d=d, n=500, k=5, seed=s))
-        pts = sweep_lambda(pop, grid, SolverConfig(seed=s, restarts=8))
-        fos[s] = [p.fos_retained for p in pts]
-        dm[s] = [p.dm for p in pts]
+        results = sweep_lambda(pop, grid, SolverConfig(seed=s, restarts=8))
+        fos[s] = [r.metrics.fos_retained for r in results]
+        dm[s] = [r.dm for r in results]
     rho = spearman(np.array(grid), fos.mean(axis=0))
     peak = int(np.argmax(dm.mean(axis=0)))
     return rho, peak, len(grid)
@@ -313,7 +316,7 @@ def test_criterion_10_calibration_contract():
         out = calibrate_lambda(
             pop, CalibrationTarget(K=K, delta=delta), SolverConfig(seed=1)
         )
-        count = violation_count(violation_vector(pop, out.result.moderator))
+        count = hinge_violations(pop, out.result.moderator)
         ok = ok and out.solve_count <= bound and (not out.feasible or count <= K)
         details.append(f"K={K}: lam={out.lam:.4g} viol={count} "
                        f"solves={out.solve_count}{'' if out.feasible else ' infeasible'}")

@@ -131,6 +131,15 @@ class TestSolve:
         assert not out.exists()
         assert not (tmp_path / "fit.moderator.csv").exists()
 
+    def test_moderator_out_equal_to_out_exits_two_without_output(
+        self, tmp_path, small_pop, capsys
+    ):
+        out = tmp_path / "fit.csv"
+        assert run(["solve", "--data", str(small_pop), "--out", str(out),
+                    "--moderator-out", str(out), "--restarts", "1", "--max-iters", "5"]) == 2
+        assert "would overwrite --out" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["pop.csv"]
+
     def test_footer_reruns_the_job(self, tmp_path, small_pop):
         out = tmp_path / "fit.csv"
         assert run(["solve", "--data", str(small_pop), "--out", str(out),
@@ -201,6 +210,14 @@ class TestSweep:
         assert f"seeds must be at least 1, got {seeds}" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "s.svg").exists()
 
+    def test_plot_path_equal_to_out_exits_two_without_output(self, tmp_path, capsys):
+        out = tmp_path / "s.svg"
+        assert run(["sweep", "--out", str(out), "--plot", "--seeds", "1", "--lambdas", "1.0",
+                    "--d", "2", "--n", "10", "--k", "2", "--restarts", "1",
+                    "--max-iters", "5"]) == 2
+        assert "would overwrite --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_footer_reruns_the_job(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--out", str(out), "--seeds", "1", "--seed", "2",
@@ -260,6 +277,13 @@ class TestToy:
         out = tmp_path / "toy.csv"
         assert run(["toy", "--out", str(out), "--theta-steps", steps]) == 2
         assert f"theta_steps must be at least 1, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_nonfinite_cost_exits_two_without_output(self, tmp_path, capsys, c):
+        out = tmp_path / "toy.csv"
+        assert run(["toy", "--out", str(out), "--c", c, "--samples", "100"]) == 2
+        assert f"manipulation cost c must be positive, got {c}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -114,6 +114,12 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match="trend"):
             load(path)
 
+    @pytest.mark.parametrize("trend", ["0,0", "nan,0"], ids=["zero", "nan"])
+    def test_bad_trend_reports_line_number(self, tmp_path, trend):
+        path = self._write(tmp_path, f"# d = 2\n# trend = {trend}\nx_0,x_1,c\n0.0,0.0,1.0\n")
+        with pytest.raises(DatasetFormatError, match="line 3: trend must be finite and nonzero"):
+            load(path)
+
     def test_no_header(self, tmp_path):
         path = self._write(tmp_path, "# d = 2\n")
         with pytest.raises(DatasetFormatError, match="header"):

@@ -201,6 +201,19 @@ class TestHalfspaceScores:
         assert np.all(np.abs(dm - dm_ref) <= 1e-9 * (1 + np.abs(dm_ref)))
         assert np.all(np.abs(penalty - penalty_ref) <= 1e-9 * (1 + penalty_ref))
 
+    def test_all_benign_gives_zeros(self):
+        pop = Population.from_arrays(np.full((4, 2), -10.0), np.ones(4), [1.0, 0.0])
+        dm, penalty, count = halfspace_scores(pop, [[1.0, 0.0]], [0.0])
+        assert dm[0] == 0.0 and penalty[0] == 0.0 and count[0] == 0
+
+    def test_hinge_and_penalty(self):
+        pop = Population.from_arrays(np.array([[0.0, 0.0]]), [0.5], [1.0, 0.0])
+        # origin score -0.5, ideal point score 1 - 0.5 = 0.5
+        dm, penalty, count = halfspace_scores(pop, [[1.0, 0.0]], [-0.5])
+        assert dm[0] == pytest.approx(1.0 - 0.25)
+        assert penalty[0] == pytest.approx(0.25)
+        assert count[0] == 1
+
     def test_matches_per_user_reference(self):
         rng = np.random.default_rng(17)
         for trial in range(30):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _helpers import loop_candidates
+from _helpers import hinge_penalty, hinge_violations, loop_candidates
 from modbalance import (
     LinearModerator,
     MixtureSpec,
@@ -14,11 +14,8 @@ from modbalance import (
     generate,
     oracle_2d,
     oracle_penalized_2d,
-    penalty_value,
     pgd_solve,
     toy_disk,
-    violation_count,
-    violation_vector,
 )
 from modbalance.oracle import _candidates
 
@@ -59,14 +56,14 @@ class TestOracle2d:
             cfg = OracleConfig(K=k_cap)
             pop = generate(MixtureSpec(d=2, n=20, k=2, seed=seed))
             res = oracle_2d(pop, cfg)
-            assert violation_count(violation_vector(pop, res.moderator)) <= k_cap
+            assert hinge_violations(pop, res.moderator) <= k_cap
 
     def test_zero_cap_is_always_feasible(self):
         # anti-trend directions give violation-free candidates, so K = 0 works
         cfg = OracleConfig(K=0)
         pop = generate(MixtureSpec(d=2, n=15, k=3, seed=9))
         res = oracle_2d(pop, cfg)
-        assert violation_count(violation_vector(pop, res.moderator)) == 0
+        assert hinge_violations(pop, res.moderator) == 0
         assert res.dm >= 0.0
 
     def test_reported_violations_respect_the_cap(self):
@@ -77,7 +74,8 @@ class TestOracle2d:
             pop = generate(MixtureSpec(d=2, n=n, k=5, seed=seed))
             for k_cap in (0, 5, 10):
                 res = oracle_2d(pop, OracleConfig(K=k_cap))
-                count = violation_count(violation_vector(pop, res.moderator))
+                count = res.violations
+                assert count == hinge_violations(pop, res.moderator)
                 assert count <= k_cap
                 assert count == n - round(n * res.metrics.fos_desired)
 
@@ -117,7 +115,7 @@ class TestOraclePenalized:
             prev_dm, prev_pen = np.inf, np.inf
             for lam in (0.1, 1.0, 10.0, 100.0):
                 res = oracle_penalized_2d(pop, lam, cfg)
-                pen = penalty_value(violation_vector(pop, res.moderator))
+                pen = hinge_penalty(pop, res.moderator)
                 assert res.dm <= prev_dm + 1e-9
                 assert pen <= prev_pen + 1e-9
                 prev_dm, prev_pen = res.dm, pen
@@ -125,7 +123,7 @@ class TestOraclePenalized:
     def test_enormous_lambda_clears_penalty(self):
         pop = generate(MixtureSpec(d=2, n=20, k=4, seed=6))
         res = oracle_penalized_2d(pop, 1e9, OracleConfig())
-        assert penalty_value(violation_vector(pop, res.moderator)) == 0.0
+        assert hinge_penalty(pop, res.moderator) == 0.0
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -156,8 +154,9 @@ class TestToyDisk:
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             toy_disk([1.5])
-        with pytest.raises(ValueError):
-            toy_disk([0.0], c=0.0)
+        for c in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="manipulation cost c must be positive"):
+                toy_disk([0.0], c=c)
         with pytest.raises(ValueError):
             toy_disk([0.0], samples=0)
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    hinge_penalty,
+    hinge_violations,
     penalized_objective,
     projected_gradient_norm,
     reference_pgd,
@@ -21,18 +23,17 @@ from modbalance import (
     calibrate_lambda,
     derive_seed,
     dm_closed_form_linear,
+    dm_population,
     generate,
     lambda_max,
+    oracle_2d,
     oracle_penalized_2d,
     OracleConfig,
-    penalty_value,
     pgd_solve,
     polish_penalized,
     surrogate_gradient,
     surrogate_loss,
     sweep_lambda,
-    violation_count,
-    violation_vector,
 )
 from modbalance.solver import _branch_terms, _exact_offset, _initial_point
 
@@ -225,24 +226,6 @@ class TestSurrogateGradient:
         assert gb == pytest.approx(2 * y - 2 * a, abs=1e-12)
 
 
-class TestViolationVector:
-    def test_all_benign_gives_zeros(self):
-        X = np.full((4, 2), -10.0)
-        pop = Population.from_arrays(X, np.ones(4), [1.0, 0.0])
-        f = LinearModerator([1.0, 0.0], 0.0)
-        g = violation_vector(pop, f)
-        np.testing.assert_array_equal(g, np.zeros(4))
-        assert violation_count(g) == 0 and penalty_value(g) == 0.0
-
-    def test_hinge_and_penalty(self):
-        pop = Population.from_arrays(np.array([[0.0, 0.0]]), [0.5], [1.0, 0.0])
-        f = LinearModerator([1.0, 0.0], -0.5)  # ideal point score: 1 - 0.5 = 0.5
-        g = violation_vector(pop, f)
-        np.testing.assert_allclose(g, [0.5])
-        assert penalty_value(g) == pytest.approx(0.25)
-        assert violation_count(g) == 1
-
-
 class TestPgdSolve:
     def test_three_user_line(self):
         X = np.array([[0.3, 0.0], [0.3, 0.1], [0.3, -0.1]])
@@ -258,7 +241,7 @@ class TestPgdSolve:
         pop = generate(MixtureSpec(d=2, n=60, k=3, seed=5))
         res = pgd_solve(pop, SolverConfig(lam=1e6, restarts=4, seed=5))
         assert res.metrics.fos_desired == 1.0
-        assert violation_count(violation_vector(pop, res.moderator)) == 0
+        assert res.violations == 0 and hinge_violations(pop, res.moderator) == 0
 
     def test_lambda_zero_objective_nonpositive(self):
         # with the penalty off every branch value is <= 0, so any minimizer is
@@ -431,7 +414,7 @@ class TestPolishPenalized:
             f = LinearModerator(w, b)
             assert J == 0.0
             assert penalized_objective(pop, f, lam) == 0.0
-            assert violation_count(violation_vector(pop, f)) == 0
+            assert hinge_violations(pop, f) == 0
 
     def test_never_above_start_or_zero(self):
         rng = np.random.default_rng(33)
@@ -488,8 +471,7 @@ class TestCalibrate:
             pop, CalibrationTarget(K=0), SolverConfig(restarts=2, seed=4, max_iters=400)
         )
         if out.feasible:
-            g = violation_vector(pop, out.result.moderator)
-            assert violation_count(g) == 0
+            assert hinge_violations(pop, out.result.moderator) == 0
 
     def test_solve_count_bound(self):
         pop = generate(MixtureSpec(d=2, n=30, k=3, seed=6))
@@ -502,8 +484,7 @@ class TestCalibrate:
         bound = int(np.ceil(np.log2(lambda_max(pop) / delta))) + 1
         assert out.solve_count <= bound
         if out.feasible:
-            g = violation_vector(pop, out.result.moderator)
-            assert violation_count(g) <= 3
+            assert hinge_violations(pop, out.result.moderator) <= 3
 
     def test_cap_exceeding_population_rejected(self):
         pop = generate(MixtureSpec(d=2, n=10, k=2, seed=0))
@@ -515,15 +496,20 @@ class TestSweep:
     def test_single_lambda_matches_pgd_solve(self):
         pop = generate(MixtureSpec(d=2, n=30, k=3, seed=8))
         cfg = SolverConfig(lam=2.5, restarts=2, seed=8, max_iters=300)
-        points = sweep_lambda(pop, [2.5], cfg)
-        assert len(points) == 1
+        results = sweep_lambda(pop, [2.5], cfg)
+        assert len(results) == 1
         direct = pgd_solve(pop, cfg)
-        p = points[0]
-        assert p.dm == direct.dm
-        assert p.objective == direct.objective
-        assert p.fos_retained == direct.metrics.fos_retained
-        assert p.iterations == direct.iterations_used
-        assert p.seed == 8
+        assert results[0].moderator.w.tobytes() == direct.moderator.w.tobytes()
+        assert results[0] == direct
+
+    def test_results_in_grid_order(self):
+        pop = generate(MixtureSpec(d=2, n=30, k=3, seed=8))
+        cfg = SolverConfig(restarts=2, seed=8, max_iters=300)
+        grid = [10.0, 0.5, 2.5]
+        results = sweep_lambda(pop, grid, cfg)
+        assert len(results) == len(grid)
+        for j, (lam, r) in enumerate(zip(grid, results)):
+            assert r == pgd_solve(pop, replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j)))
 
     def test_rejects_bad_grids(self):
         pop = generate(MixtureSpec(d=2, n=10, k=2, seed=0))
@@ -531,6 +517,42 @@ class TestSweep:
             sweep_lambda(pop, [], SolverConfig())
         with pytest.raises(ValueError):
             sweep_lambda(pop, [-1.0], SolverConfig())
+
+
+class TestSolveResultScores:
+    """Every producer of a SolveResult scores its moderator as the
+    by-definition ideal-point hinge does."""
+
+    @staticmethod
+    def results(seed):
+        pop = generate(MixtureSpec(d=2, n=30, k=3, seed=seed))
+        cfg = SolverConfig(lam=2.0, restarts=2, seed=seed, max_iters=300)
+        solved = pgd_solve(pop, cfg)
+        calibrated = calibrate_lambda(
+            pop, CalibrationTarget(K=5, delta=0.5), replace(cfg, restarts=1, max_iters=100)
+        )
+        named = {
+            "pgd_solve": solved,
+            "polish_penalized": polish_penalized(pop, solved.moderator, 2.0),
+            "oracle_2d": oracle_2d(pop, OracleConfig(K=5)),
+            "oracle_penalized_2d": oracle_penalized_2d(pop, 2.0, OracleConfig()),
+            "calibrate_lambda": calibrated.result,
+        }
+        for j, r in enumerate(sweep_lambda(pop, [0.1, 1.0, 10.0], cfg)):
+            named[f"sweep_lambda[{j}]"] = r
+        return pop, named
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fields_match_the_hinge_by_definition(self, seed):
+        pop, named = self.results(seed)
+        n = pop.n
+        for name, r in named.items():
+            f = r.moderator
+            assert r.dm == dm_closed_form_linear(pop, f), name
+            assert abs(r.dm - dm_population(pop, f)) <= 1e-9 * (1.0 + abs(r.dm)), name
+            assert r.penalty == hinge_penalty(pop, f), name
+            assert r.violations == hinge_violations(pop, f), name
+            assert r.violations == n - round(n * r.metrics.fos_desired), name
 
 
 class TestSeeds:
