@@ -34,7 +34,12 @@ from .svgplot import Series, render_plot
 
 __all__ = ["run", "main"]
 
-SWEEP_HEADER = "lambda,seed,dm,fos_desired,fos_retained,filtered_count,objective,iterations,converged"
+# a solve's columns from dm on, in ``_result_fields`` order
+_RESULT_COLUMNS = "dm,fos_desired,fos_retained,filtered_count,objective,iterations,converged"
+SOLVE_HEADER = "lambda," + _RESULT_COLUMNS
+CALIBRATE_HEADER = "lambda,feasible,violations,solve_count," + _RESULT_COLUMNS
+SWEEP_HEADER = "lambda,seed," + _RESULT_COLUMNS
+ORACLE_HEADER = "mode,lambda,k_max,dm,violations,penalty,objective,w_0,w_1,b,candidates"
 
 _DEFAULT_LAMBDAS = [float(v) for v in np.logspace(-1.0, 2.0, 7)]
 
@@ -115,22 +120,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",") if v.strip()]
+
+
+def _boolean(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# one parser per value kind, for config-file values and flags alike; each
+# raises a plain ValueError, which argparse reports as a usage error
+_PARSERS = {"int": int, "float": float, "floats": _float_list, "bool": _boolean, "str": str}
+
+
 def _parse_value(kind: str, raw: str, key: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "floats":
-            return [float(v) for v in raw.split(",") if v.strip() != ""]
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return _PARSERS[kind](raw)
     except ValueError as exc:
         raise UsageError(f"bad value for {key}: {exc}") from None
 
@@ -192,7 +202,7 @@ def _solver_config(params: dict, lam: float, seed: int) -> SolverConfig:
 
 
 def _result_fields(result) -> tuple:
-    """A solve's columns from dm on, in ``_RESULT_HEADER`` order."""
+    """A solve's columns from dm on, in ``_RESULT_COLUMNS`` order."""
     m = result.metrics
     return (
         result.dm,
@@ -203,9 +213,6 @@ def _result_fields(result) -> tuple:
         result.iterations_used,
         result.converged,
     )
-
-
-_RESULT_HEADER = "lambda,dm,fos_desired,fos_retained,filtered_count,objective,iterations,converged"
 
 
 def _cmd_generate(params: dict) -> int:
@@ -225,27 +232,24 @@ def _write_moderator(path: str, moderator, footer: list[str]) -> None:
 
 def _cmd_solve(params: dict) -> int:
     out = params["out"]
-    moderator_out = _second_output(
-        out, params["moderator_out"] or _with_suffix(out, ".moderator.csv")
+    moderator_out = _check_outputs(
+        params, params["moderator_out"] or os.path.splitext(out)[0] + ".moderator.csv"
     )
     pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=params["lam"], seed=params["seed"])
     result = pgd_solve(pop, cfg)
     footer = _footer_lines("solve", params)
-    _write_csv(out, _RESULT_HEADER, [(params["lam"], *_result_fields(result))], footer)
+    _write_csv(out, SOLVE_HEADER, [(params["lam"], *_result_fields(result))], footer)
     _write_moderator(moderator_out, result.moderator, footer)
     return 0
 
 
 def _cmd_calibrate(params: dict) -> int:
+    _check_outputs(params)
     pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=0.0, seed=params["seed"])
     target = CalibrationTarget(K=params["max_violations"], delta=params["delta"])
     outcome = calibrate_lambda(pop, target, cfg)
-    header = (
-        "lambda,feasible,violations,solve_count,dm,fos_desired,fos_retained,"
-        "filtered_count,objective,iterations,converged"
-    )
     row = (
         outcome.lam,
         outcome.feasible,
@@ -253,29 +257,43 @@ def _cmd_calibrate(params: dict) -> int:
         outcome.solve_count,
         *_result_fields(outcome.result),
     )
-    _write_csv(params["out"], header, [row], _footer_lines("calibrate", params))
+    _write_csv(params["out"], CALIBRATE_HEADER, [row], _footer_lines("calibrate", params))
     return 0 if outcome.feasible else 3
 
 
-def _with_suffix(path: str, suffix: str) -> str:
-    base, _ = os.path.splitext(path)
-    return base + suffix
+def _same_file(a: str, b: str) -> bool:
+    """Whether writing ``a`` would overwrite ``b``, also through a link."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet: compare resolved paths
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _second_output(out: str, path: str) -> str:
-    """``path`` for a job's second file, refused if it would overwrite ``out``."""
-    if os.path.abspath(path) == os.path.abspath(out):
-        raise UsageError(f"second output {path} would overwrite --out {out}")
-    return path
+def _check_outputs(params: dict, second: str | None = None) -> str | None:
+    """Refuse a job, before it reads or runs anything, whose second output
+    would overwrite ``out`` or whose output would overwrite ``data``;
+    returns ``second``."""
+    out, data = params["out"], params.get("data")
+    if second is not None and _same_file(second, out):
+        raise UsageError(f"second output {second} would overwrite --out {out}")
+    if data is not None:
+        for path in (out, second):
+            if path is not None and _same_file(path, data):
+                raise UsageError(f"output {path} would overwrite --data {data}")
+    return second
 
 
 def _cmd_sweep(params: dict) -> int:
     if params["seeds"] < 1:
         raise UsageError(f"seeds must be at least 1, got {params['seeds']}")
+    lambdas = params["lambdas"]
     plot_out = None
     if params["plot"]:
-        plot_out = _second_output(params["out"], _with_suffix(params["out"], ".svg"))
-    lambdas = params["lambdas"]
+        plot_out = _check_outputs(params, os.path.splitext(params["out"])[0] + ".svg")
+        bad = [lam for lam in lambdas if not lam > 0]
+        if bad:
+            raise UsageError(f"--plot draws lambda on a log axis, so every lambda must "
+                             f"be > 0, got {_fmt(bad[0])}")
     rows = []
     for s in range(params["seed"], params["seed"] + params["seeds"]):
         pop = data_mod.generate(_mixture_spec(params, s))
@@ -289,38 +307,29 @@ def _cmd_sweep(params: dict) -> int:
 
 
 def _write_sweep_plot(path: str, lambdas: list[float], rows: list[tuple]) -> None:
-    dm_by_lam = {lam: [] for lam in lambdas}
-    fos_by_lam = {lam: [] for lam in lambdas}
-    for row in rows:
-        dm_by_lam[row[0]].append(row[2])
-        fos_by_lam[row[0]].append(row[4])
-
-    def stats(per_lam):
+    def series(label: str, column: int, color: str) -> Series:
+        """Mean and one-standard-deviation band of a sweep column per lambda."""
+        per_lam = {lam: [] for lam in lambdas}
+        for row in rows:
+            per_lam[row[0]].append(row[column])
         means = [float(np.mean(per_lam[lam])) for lam in lambdas]
         stds = [float(np.std(per_lam[lam])) for lam in lambdas]
-        lo = [m - s for m, s in zip(means, stds)]
-        hi = [m + s for m, s in zip(means, stds)]
-        return means, lo, hi
+        return Series(label, tuple(lambdas), tuple(means),
+                      tuple(m - s for m, s in zip(means, stds)),
+                      tuple(m + s for m, s in zip(means, stds)), color)
 
-    dm_mean, dm_lo, dm_hi = stats(dm_by_lam)
-    fos_mean, fos_lo, fos_hi = stats(fos_by_lam)
-    xs = tuple(lambdas)
     svg = render_plot(
-        [
-            Series("distortion mitigation", xs, tuple(dm_mean), tuple(dm_lo), tuple(dm_hi), "#1f77b4", "left"),
-            Series("fraction retained", xs, tuple(fos_mean), tuple(fos_lo), tuple(fos_hi), "#e6a817", "right"),
-        ],
-        title="mitigation / retained-content trade-off",
-        xlabel="penalty strength",
-        left_label="distortion mitigation",
-        right_label="fraction retained",
-        logx=True,
+        series("distortion mitigation", 2, "#1f77b4"),
+        series("fraction retained", 4, "#e6a817"),
+        "mitigation / retained-content trade-off",
+        "penalty strength",
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
 
 
 def _cmd_oracle(params: dict) -> int:
+    _check_outputs(params)
     pop = data_mod.load(params["data"])
     cfg = OracleConfig(
         **{key: params[key] for key in _ORACLE if key != "K"}, K=params["max_violations"]
@@ -332,7 +341,6 @@ def _cmd_oracle(params: dict) -> int:
         result = oracle_2d(pop, cfg)
     else:
         raise UsageError(f"mode must be 'constrained' or 'penalized', got {mode!r}")
-    header = "mode,lambda,k_max,dm,violations,penalty,objective,w_0,w_1,b,candidates"
     row = (
         mode,
         params["lam"],
@@ -346,7 +354,7 @@ def _cmd_oracle(params: dict) -> int:
         float(result.moderator.b),
         result.iterations_used,
     )
-    _write_csv(params["out"], header, [row], _footer_lines("oracle", params))
+    _write_csv(params["out"], ORACLE_HEADER, [row], _footer_lines("oracle", params))
     return 0
 
 
@@ -360,27 +368,27 @@ def _cmd_toy(params: dict) -> int:
     return 0
 
 
+# command -> (handler, help line)
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "solve": _cmd_solve,
-    "calibrate": _cmd_calibrate,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "toy": _cmd_toy,
+    "generate": (_cmd_generate, "write a seeded synthetic population CSV"),
+    "solve": (_cmd_solve, "fit one moderator by projected gradient descent"),
+    "calibrate": (_cmd_calibrate, "bisect the penalty strength for a violation cap"),
+    "sweep": (_cmd_sweep, "trade-off curve over a lambda grid and many seeds"),
+    "oracle": (_cmd_oracle, "brute-force reference search (d = 2 only)"),
+    "toy": (_cmd_toy, "unit-disk trade-off curve"),
 }
 
-_EPILOG = """\
+_EPILOG = f"""\
 output CSV schemas (all files end with a '# key = value' reproducibility
 footer; stripping the '# ' prefix yields a config file that re-runs the job):
-  generate   dataset: '# d/n/trend' metadata, header x_0,...,x_{d-1},c
-  solve      %(result)s
-             plus a moderator file: w_0,...,w_{d-1},b
-  calibrate  lambda,feasible,violations,solve_count,dm,fos_desired,
-             fos_retained,filtered_count,objective,iterations,converged
-  sweep      %(sweep)s
-  oracle     mode,lambda,k_max,dm,violations,penalty,objective,w_0,w_1,b,candidates
+  generate   dataset: '# d/n/trend' metadata, header x_0,...,x_{{d-1}},c
+  solve      {SOLVE_HEADER}
+             plus a moderator file: w_0,...,w_{{d-1}},b
+  calibrate  {CALIBRATE_HEADER}
+  sweep      {SWEEP_HEADER}
+  oracle     {ORACLE_HEADER}
   toy        theta,dm,fos
-""" % {"result": _RESULT_HEADER, "sweep": SWEEP_HEADER}
+"""
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
@@ -391,17 +399,9 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
         if kind == "bool":
             parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
                                 default=None, help=helptext)
-        elif kind == "int":
-            parser.add_argument(flag, dest=key, type=int, default=None, help=helptext)
-        elif kind == "float":
-            parser.add_argument(flag, dest=key, type=float, default=None, help=helptext)
-        elif kind == "floats":
-            # plain ValueError here so argparse reports it as a usage error
-            parser.add_argument(flag, dest=key,
-                                type=lambda raw: [float(v) for v in raw.split(",") if v.strip()],
-                                default=None, metavar="V1,V2,...", help=helptext)
         else:
-            parser.add_argument(flag, dest=key, default=None, help=helptext)
+            parser.add_argument(flag, dest=key, type=_PARSERS[kind], default=None, help=helptext,
+                                metavar="V1,V2,..." if kind == "floats" else None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -413,16 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "generate": "write a seeded synthetic population CSV",
-        "solve": "fit one moderator by projected gradient descent",
-        "calibrate": "bisect the penalty strength for a violation cap",
-        "sweep": "trade-off curve over a lambda grid and many seeds",
-        "oracle": "brute-force reference search (d = 2 only)",
-        "toy": "unit-disk trade-off curve",
-    }
-    for command in _COMMANDS:
-        p = sub.add_parser(command, help=helps[command],
+    for command, (_, helptext) in _COMMANDS.items():
+        p = sub.add_parser(command, help=helptext,
                            formatter_class=argparse.RawDescriptionHelpFormatter,
                            epilog=_EPILOG)
         _add_flags(p, command)
@@ -438,7 +430,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         params = _resolve(args.command, args)
-        return _COMMANDS[args.command](params)
+        return _COMMANDS[args.command][0](params)
     except NoFeasibleCandidateError as exc:
         print(
             f"error: {exc} (least-violating candidate: w = {exc.w.tolist()}, "

@@ -9,7 +9,8 @@ by :func:`~modbalance.metrics.halfspace_scores`, the closed form every other
 halfspace score in the package uses, so the oracles count mitigation and
 violations with the same ``BENIGN_TOL`` as ``metrics``. The returned
 ``SolveResult`` re-scores the winner by one ``halfspace_scores`` row, as every
-solver's result does.
+solver's result does, and its ``objective`` is computed from that row, so it
+agrees exactly with the record's ``dm`` and ``penalty``.
 
 The candidate grids are nested under doubling of their step counts, so
 refining the search can only improve the reported optimum.
@@ -17,13 +18,13 @@ refining the search can only improve the reported optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .metrics import halfspace_scores
-from .model import BENIGN_TOL, Population
+from .model import Population, Trend
 from .solver import SolveResult, _solve_result
 
 __all__ = [
@@ -124,7 +125,8 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
         )
     masked = np.where(feasible, dm, -np.inf)
     best = int(np.argmax(masked))
-    return _solve_result(pop, W[best], B[best], -dm[best], W.shape[0], True)
+    result = _solve_result(pop, W[best], B[best], 0.0, W.shape[0], True)
+    return replace(result, objective=-result.dm)
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
@@ -134,9 +136,9 @@ def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> Solve
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     W, B = _candidates(pop, cfg)
     dm, penalty, _ = halfspace_scores(pop, W, B)
-    objective = -dm + lam * penalty
-    best = int(np.argmin(objective))
-    return _solve_result(pop, W[best], B[best], objective[best], W.shape[0], True)
+    best = int(np.argmin(-dm + lam * penalty))
+    result = _solve_result(pop, W[best], B[best], 0.0, W.shape[0], True)
+    return replace(result, objective=-result.dm + lam * result.penalty)
 
 
 def toy_disk(
@@ -145,7 +147,8 @@ def toy_disk(
     """Trade-off curve for content uniform on the unit disk, trend (1, 0).
 
     Sweeps vertical boundaries x1 = theta and reports, per theta, the mean
-    per-user mitigation and the fraction of ideal points left unfiltered.
+    per-user mitigation and the fraction of ideal points left unfiltered,
+    scored by ``halfspace_scores`` as w = (1,), b = -theta on the samples' x1.
     One shared Monte Carlo sample serves the whole grid, so the speech index
     is exactly non-decreasing in theta rather than merely in expectation.
     """
@@ -162,12 +165,7 @@ def toy_disk(
     angle = rng.uniform(0.0, 2.0 * np.pi, size=samples)
     x1 = radius * np.cos(angle)
 
-    shift = 1.0 / (2.0 * c)  # trend advance along (1, 0)
-    out = []
-    for theta in theta_grid:
-        v = x1 - theta
-        active = (v <= BENIGN_TOL) & (v + shift > BENIGN_TOL)
-        dm = float(np.mean(np.where(active, shift**2 - v**2, 0.0)))
-        fos = float(np.mean(x1 + shift <= theta + BENIGN_TOL))
-        out.append((theta, dm, fos))
-    return out
+    line = Population(x1[:, None], np.full(samples, c), Trend((1.0,)))
+    dm, _, violations = halfspace_scores(line, np.ones((len(theta_grid), 1)), -np.array(theta_grid))
+    return [(theta, float(dm[i] / samples), float((samples - violations[i]) / samples))
+            for i, theta in enumerate(theta_grid)]

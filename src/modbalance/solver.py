@@ -140,9 +140,9 @@ class SolveResult:
     the same moderator; its own ``dm`` is summed from the responses.
 
     ``objective`` is the value of the producing search: the summed surrogate
-    loss for the PGD solver, the exact penalized objective -dm + lam * penalty
-    of the returned moderator for ``polish_penalized``, and the
-    penalized/constrained search objective for the brute-force oracles.
+    loss for the PGD solver, and the exact objective of the returned moderator
+    otherwise: -dm + lam * penalty for ``polish_penalized`` and the penalized
+    oracle, -dm for the constrained oracle.
 
     ``iterations_used`` and ``converged`` describe the winning search only.
     For the PGD solver that is the first restart with the lowest objective:

@@ -1,4 +1,8 @@
-"""Self-contained SVG line plots: axes, polylines, shaded bands.
+"""The sweep's trade-off plot as a self-contained SVG document.
+
+One plot: two series over a shared log10 x-axis, the first on the left
+y-axis and the second on the right. Each is drawn as a line over a shaded
+band and labelled on its axis and in the legend. Every x must be positive.
 
 Kept deliberately small so experiment outputs depend on nothing but this
 package; rendering is a pure function of the data (no timestamps), which
@@ -15,15 +19,14 @@ __all__ = ["Series", "render_plot"]
 
 @dataclass(frozen=True)
 class Series:
-    """One curve, optionally with a shaded band, bound to a y-axis side."""
+    """One curve ``ys`` over ``xs`` with its shaded band from ``lo`` to ``hi``."""
 
     label: str
     xs: tuple
     ys: tuple
-    lo: tuple | None = None
-    hi: tuple | None = None
-    color: str = "#1f77b4"
-    axis: str = "left"  # "left" or "right"
+    lo: tuple
+    hi: tuple
+    color: str
 
 
 def _fmt(v: float) -> str:
@@ -44,47 +47,27 @@ def _axis_range(values):
     return lo - pad, hi + pad
 
 
-def render_plot(
-    series: list[Series],
-    title: str = "",
-    xlabel: str = "",
-    left_label: str = "",
-    right_label: str = "",
-    logx: bool = False,
-    width: int = 720,
-    height: int = 440,
-) -> str:
-    """Render the series to an SVG 1.1 document string."""
+def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
+    """Render ``left`` on the left axis and ``right`` on the right axis to an
+    SVG 1.1 document string."""
+    width, height = 720, 440
     margin_l, margin_r, margin_t, margin_b = 64.0, 64.0, 36.0, 48.0
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
+    series = (left, right)
 
-    def xval(x: float) -> float:
-        return math.log10(x) if logx else x
-
-    all_x = [xval(x) for s in series for x in s.xs]
-    x_lo, x_hi = _axis_range(all_x)
-
-    ranges = {}
-    for side in ("left", "right"):
-        vals = []
-        for s in series:
-            if s.axis != side:
-                continue
-            vals.extend(s.ys)
-            if s.lo is not None:
-                vals.extend(s.lo)
-            if s.hi is not None:
-                vals.extend(s.hi)
-        if vals:
-            ranges[side] = _axis_range(vals)
+    x_lo, x_hi = _axis_range([math.log10(x) for s in series for x in s.xs])
+    ranges = [_axis_range([*s.ys, *s.lo, *s.hi]) for s in series]
 
     def px(x: float) -> float:
-        return margin_l + (xval(x) - x_lo) / (x_hi - x_lo) * plot_w
+        return margin_l + (math.log10(x) - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float, side: str) -> float:
+    def py(y: float, side: int) -> float:
         lo, hi = ranges[side]
         return margin_t + (1.0 - (y - lo) / (hi - lo)) * plot_h
+
+    def points(xs, ys, side: int) -> list[str]:
+        return [f"{_fmt(px(x))},{_fmt(py(y, side))}" for x, y in zip(xs, ys)]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -92,36 +75,30 @@ def render_plot(
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{_fmt(margin_l)}" y="{_fmt(margin_t)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>',
+        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
 
     for tick in _ticks(x_lo, x_hi):
         x_px = margin_l + (tick - x_lo) / (x_hi - x_lo) * plot_w
-        label = f"{10 ** tick:.3g}" if logx else f"{tick:.3g}"
         parts.append(
             f'<line x1="{_fmt(x_px)}" y1="{_fmt(margin_t + plot_h)}" '
             f'x2="{_fmt(x_px)}" y2="{_fmt(margin_t + plot_h + 5)}" stroke="#333333"/>'
         )
         parts.append(
             f'<text x="{_fmt(x_px)}" y="{_fmt(margin_t + plot_h + 18)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{label}</text>'
+            f'text-anchor="middle" font-family="sans-serif" font-size="11">{10 ** tick:.3g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(height - 10)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>'
-        )
+    parts.append(
+        f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(height - 10)}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>'
+    )
 
-    axis_text = {"left": left_label, "right": right_label}
-    for side in ranges:
+    for side, s in enumerate(series):
         lo, hi = ranges[side]
-        edge = margin_l if side == "left" else margin_l + plot_w
-        sign = -1.0 if side == "left" else 1.0
-        anchor = "end" if side == "left" else "start"
+        edge = margin_l if side == 0 else margin_l + plot_w
+        sign = -1.0 if side == 0 else 1.0
+        anchor = "end" if side == 0 else "start"
         for tick in _ticks(lo, hi):
             y_px = py(tick, side)
             parts.append(
@@ -133,30 +110,24 @@ def render_plot(
                 f'text-anchor="{anchor}" font-family="sans-serif" '
                 f'font-size="11">{tick:.3g}</text>'
             )
-        if axis_text[side]:
-            x_lab = edge + sign * 50
-            parts.append(
-                f'<text x="{_fmt(x_lab)}" y="{_fmt(margin_t + plot_h / 2)}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-                f'transform="rotate({int(sign * 90)} {_fmt(x_lab)} '
-                f'{_fmt(margin_t + plot_h / 2)})">{axis_text[side]}</text>'
-            )
-
-    for s in series:
-        if s.lo is not None and s.hi is not None:
-            forward = [f"{_fmt(px(x))},{_fmt(py(y, s.axis))}" for x, y in zip(s.xs, s.hi)]
-            backward = [
-                f"{_fmt(px(x))},{_fmt(py(y, s.axis))}"
-                for x, y in zip(reversed(s.xs), reversed(s.lo))
-            ]
-            parts.append(
-                f'<polygon points="{" ".join(forward + backward)}" '
-                f'fill="{s.color}" fill-opacity="0.18" stroke="none"/>'
-            )
-    for s in series:
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y, s.axis))}" for x, y in zip(s.xs, s.ys))
+        x_lab = edge + sign * 50
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="2"/>'
+            f'<text x="{_fmt(x_lab)}" y="{_fmt(margin_t + plot_h / 2)}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="12" '
+            f'transform="rotate({int(sign * 90)} {_fmt(x_lab)} '
+            f'{_fmt(margin_t + plot_h / 2)})">{s.label}</text>'
+        )
+
+    for side, s in enumerate(series):
+        band = points(s.xs, s.hi, side) + points(s.xs[::-1], s.lo[::-1], side)
+        parts.append(
+            f'<polygon points="{" ".join(band)}" '
+            f'fill="{s.color}" fill-opacity="0.18" stroke="none"/>'
+        )
+    for side, s in enumerate(series):
+        parts.append(
+            f'<polyline points="{" ".join(points(s.xs, s.ys, side))}" fill="none" '
+            f'stroke="{s.color}" stroke-width="2"/>'
         )
 
     legend_y = margin_t + 14

@@ -140,6 +140,16 @@ class TestSolve:
         assert "would overwrite --out" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["pop.csv"]
 
+    def test_derived_moderator_path_equal_to_data_exits_two(self, tmp_path, small_pop, capsys):
+        data = tmp_path / "fit.moderator.csv"
+        small_pop.rename(data)
+        before = data.read_bytes()
+        assert run(["solve", "--data", str(data), "--out", str(tmp_path / "fit.csv"),
+                    "--restarts", "1", "--max-iters", "5"]) == 2
+        assert "would overwrite --data" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [data.name]
+        assert data.read_bytes() == before
+
     def test_footer_reruns_the_job(self, tmp_path, small_pop):
         out = tmp_path / "fit.csv"
         assert run(["solve", "--data", str(small_pop), "--out", str(out),
@@ -217,6 +227,17 @@ class TestSweep:
                     "--max-iters", "5"]) == 2
         assert "would overwrite --out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_plot_with_nonpositive_lambda_exits_two_without_output(self, tmp_path, capsys):
+        # the plot's x-axis is log10(lambda); the grid is checked before any solve
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--out", str(out), "--lambdas", "0,1", "--seeds", "1",
+                "--d", "2", "--n", "10", "--k", "2", "--restarts", "1", "--max-iters", "5"]
+        assert run([*args, "--plot"]) == 2
+        assert "every lambda must be > 0, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(args) == 0
+        assert len(data_rows(read(out))) == 3
 
     def test_footer_reruns_the_job(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -320,6 +341,29 @@ class TestExitCodes:
                     "--lambdas", "0.5,banana"]) == 2
         assert run(["sweep", "--out", str(tmp_path / "s.csv"),
                     "--lambdas", ""]) == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--restarts", "1", "--max-iters", "5"]),
+        ("calibrate", ["--max-violations", "5", "--restarts", "1", "--max-iters", "5"]),
+        ("oracle", ["--angle-steps", "8", "--offset-steps", "8"]),
+    ], ids=["solve", "calibrate", "oracle"])
+    def test_out_equal_to_data_exits_two_and_keeps_the_input(
+        self, tmp_path, small_pop, capsys, command, flags
+    ):
+        before = small_pop.read_bytes()
+        assert run([command, "--data", str(small_pop), "--out", str(small_pop), *flags]) == 2
+        assert f"output {small_pop} would overwrite --data" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [small_pop.name]
+        assert small_pop.read_bytes() == before
+
+    @pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
+    def test_out_linked_to_data_exits_two_and_keeps_the_input(self, tmp_path, small_pop, link):
+        link_path = tmp_path / "link.csv"
+        getattr(link_path, link)(small_pop)
+        before = small_pop.read_bytes()
+        assert run(["solve", "--data", str(small_pop), "--out", str(link_path),
+                    "--restarts", "1", "--max-iters", "5"]) == 2
+        assert small_pop.read_bytes() == before
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0

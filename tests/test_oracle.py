@@ -130,6 +130,19 @@ class TestOraclePenalized:
             oracle_penalized_2d(LINE3, -1.0, OracleConfig())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_objective_is_computed_from_the_returned_record(seed):
+    # the winner is chosen by the batch score, whose sum order differs from
+    # the one-row rescoring, so the objective must come from the record
+    pop = generate(MixtureSpec(d=2, n=50, k=5, seed=seed))
+    for k_cap in (0, 5, 10):
+        res = oracle_2d(pop, OracleConfig(K=k_cap))
+        assert res.objective == -res.dm
+    for lam in (0.1, 1.0, 10.0):
+        res = oracle_penalized_2d(pop, lam, OracleConfig())
+        assert res.objective == -res.dm + lam * res.penalty
+
+
 class TestToyDisk:
     def test_left_margin_mitigates_nothing(self):
         pts = toy_disk([-1.0], samples=50_000, seed=1)
