@@ -25,18 +25,13 @@ from .model import (
     ideal_point,
     project_hyperplane,
     project_polytope,
-    utility,
 )
 from .metrics import (
     MetricReport,
-    baseline_distortion,
-    distortion,
     dm_closed_form_linear,
-    dm_population,
     generalization_gap,
     halfspace_scores,
     metrics,
-    mitigation,
 )
 from .solver import (
     CalibrationOutcome,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .model import Population
+from .model import Population, _require_integers
 
 __all__ = ["MixtureSpec", "DatasetFormatError", "generate", "save", "load"]
 
@@ -54,6 +54,7 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "d", "n", "k", "seed")
         if self.d < 1 or self.n < 1 or self.k < 1:
             raise ValueError("d, n and k must be positive")
         if self.n % self.k != 0:

@@ -5,15 +5,15 @@ benign; everyone else contributes nothing. Mitigation compares a moderator
 against the do-nothing baseline, user by user, and is always nonnegative: a
 moderator can only shorten the detour a benign user takes chasing the trend.
 
-``metrics`` is one array pass over :func:`~modbalance.model.best_responses`.
-The per-user functions (``distortion``, ``mitigation``, ``dm_population``)
-are the by-definition references it is checked against.
+``metrics`` reports any moderator by one array pass over
+:func:`~modbalance.model.best_responses`.
 
 Halfspaces also have a closed form that simulates no responses:
-``halfspace_scores`` gives DM, the squared ideal-point hinge penalty and the
-violation count of a batch of halfspaces. It is the one place that scores a
-halfspace: ``dm_closed_form_linear``, every ``SolveResult``, the solver's
-exact penalized objective and the d = 2 oracles all call it, and like
+``halfspace_scores`` gives DM, the squared ideal-point hinge penalty, the
+violation count and the filtered count of a batch of halfspaces. It is the
+one place that scores a halfspace: ``dm_closed_form_linear``, every
+``SolveResult`` (its ``metrics`` report included), the solver's exact
+penalized objective and the d = 2 oracles all call it, and like
 ``best_responses`` it counts a score <= ``BENIGN_TOL`` as benign.
 """
 
@@ -23,17 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    BENIGN_TOL,
-    LinearModerator,
-    Moderator,
-    Population,
-    ResponseCase,
-    Trend,
-    UserProfile,
-    best_response,
-    best_responses,
-)
+from .model import BENIGN_TOL, LinearModerator, Moderator, Population, ResponseCase, best_responses
+
+__all__ = ["MetricReport", "halfspace_scores", "dm_closed_form_linear", "metrics",
+           "generalization_gap"]
 
 
 @dataclass(frozen=True)
@@ -55,41 +48,16 @@ class MetricReport:
     n: int
 
 
-def baseline_distortion(u: UserProfile, e: Trend) -> float:
-    """Distortion under the do-nothing moderator: |e|^2 / (4 c^2)."""
-    return float(np.dot(e.e, e.e)) / (4.0 * u.c * u.c)
-
-
-def distortion(u: UserProfile, e: Trend, f: Moderator) -> float:
-    """Squared displacement of the best response, for benign-origin users only."""
-    if not f.is_benign(u.x):
-        return 0.0
-    z_star = best_response(u, e, f).z_star
-    delta = z_star - u.x
-    return float(np.dot(delta, delta))
-
-
-def mitigation(u: UserProfile, e: Trend, f: Moderator) -> float:
-    """How much distortion ``f`` removes for this user versus doing nothing."""
-    gated_baseline = baseline_distortion(u, e) if f.is_benign(u.x) else 0.0
-    return gated_baseline - distortion(u, e, f)
-
-
-def dm_population(pop: Population, f: Moderator) -> float:
-    """Total distortion mitigation, summed user by user from best responses."""
-    e = pop.trend
-    return sum(mitigation(u, e, f) for u in pop.users)
-
-
 # Candidates per block of ``halfspace_scores``: no (n, block) temporary holds
 # more than about this many entries, whatever n is.
-_SCORE_BLOCK_ENTRIES = 2**18
+_SCORE_BLOCK_ENTRIES = 2**16
 
 
 def halfspace_scores(
     pop: Population, W: np.ndarray, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mitigation, squared-hinge penalty and violation count of halfspaces.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mitigation, squared-hinge penalty, violation and filtered counts of
+    halfspaces.
 
     Row k of ``W`` (k, d) and entry k of ``B`` (k,) are the moderator
     {z : w.z + b <= 0}. With v = w.x + b the origin score, s = w.e/(2c) the
@@ -98,18 +66,36 @@ def halfspace_scores(
     - DM is the sum of (s^2 - v^2)/|w|^2 over users whose origin is benign
       (v <= BENIGN_TOL) while their ideal point is not (y > BENIGN_TOL);
     - the penalty is the sum of max(0, y)^2;
-    - the violation count is #{y > BENIGN_TOL}.
+    - the violation count is #{y > BENIGN_TOL};
+    - the filtered count is the number of users who stay filtered: v and y
+      above BENIGN_TOL, and crossing to the boundary projection p of the
+      ideal point earns no positive utility, p.e - c|p - x|^2 =
+      x.e + |e|^2/(4c) - c y^2/|w|^2 <= 0, tested as
+      y^2 >= (x.e/c + |e|^2/(4c^2)) |w|^2.
 
-    Candidates are scored in blocks, so memory stays bounded for any n.
+    Raises ValueError unless ``W`` is (k, d) with d = ``pop.d``, ``B`` is
+    (k,), both are finite and every row of ``W`` is nonzero. Candidates are
+    scored in blocks, so memory stays bounded for any n.
     """
     X, e = pop.feature_matrix, pop.trend.e
     W = np.asarray(W, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    two_costs = 2.0 * pop.costs[:, None]
+    if W.ndim != 2 or W.shape[1] != pop.d or B.shape != W.shape[:1]:
+        raise ValueError(f"need W of shape (k, {pop.d}) and B of shape (k,), "
+                         f"got {W.shape} and {B.shape}")
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(B))):
+        raise ValueError("W and B must be finite")
+    norms = np.sum(W * W, axis=1)
+    if not np.all(norms > 0):
+        raise ValueError(f"row {int(np.argmin(norms > 0))} of W is a zero normal")
+    costs = pop.costs[:, None]
+    two_costs = 2.0 * costs
+    crossing = (X @ e[:, None] + np.dot(e, e) / (4.0 * costs)) / costs  # x.e/c + |e|^2/(4c^2)
     k = W.shape[0]
     dm = np.empty(k)
     penalty = np.empty(k)
     violations = np.empty(k, dtype=np.int64)
+    filtered = np.empty(k, dtype=np.int64)
     block = max(1, _SCORE_BLOCK_ENTRIES // pop.n)
     for start in range(0, k, block):
         rows = slice(start, start + block)
@@ -117,18 +103,23 @@ def halfspace_scores(
         V = X @ Wb.T + B[rows]
         S = (Wb @ e) / two_costs
         Y = V + S
-        active = (V <= BENIGN_TOL) & (Y > BENIGN_TOL)
-        dm[rows] = np.sum(np.where(active, S * S - V * V, 0.0), axis=0) / np.sum(Wb * Wb, axis=1)
+        origin_benign = V <= BENIGN_TOL
+        ideal_filtered = Y > BENIGN_TOL
+        active = origin_benign & ideal_filtered
+        dm[rows] = np.sum(np.where(active, S * S - V * V, 0.0), axis=0) / norms[rows]
         hinge = np.maximum(Y, 0.0)
-        penalty[rows] = np.sum(hinge * hinge, axis=0)
-        violations[rows] = np.count_nonzero(Y > BENIGN_TOL, axis=0)
-    return dm, penalty, violations
+        hinge2 = hinge * hinge
+        penalty[rows] = np.sum(hinge2, axis=0)
+        violations[rows] = np.count_nonzero(ideal_filtered, axis=0)
+        # origin and ideal point filtered, and crossing does not pay
+        stays = (ideal_filtered ^ active) & (hinge2 >= crossing * norms[rows])
+        filtered[rows] = np.count_nonzero(stays, axis=0)
+    return dm, penalty, violations, filtered
 
 
 def dm_closed_form_linear(pop: Population, f: LinearModerator) -> float:
     """Total mitigation of a halfspace moderator without simulating responses."""
-    dm, _, _ = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
-    return float(dm[0])
+    return float(halfspace_scores(pop, f.w[None, :], np.array([f.b]))[0][0])
 
 
 def metrics(pop: Population, f: Moderator) -> MetricReport:
@@ -146,13 +137,7 @@ def metrics(pop: Population, f: Moderator) -> MetricReport:
     desired = int(np.count_nonzero(cases == ResponseCase.UNCONSTRAINED))
     filtered = int(np.count_nonzero(cases == ResponseCase.STAY_FILTERED))
     n = pop.n
-    return MetricReport(
-        dm=dm,
-        fos_desired=desired / n,
-        fos_retained=(n - filtered) / n,
-        filtered_count=filtered,
-        n=n,
-    )
+    return MetricReport(dm, desired / n, (n - filtered) / n, filtered, n)
 
 
 def generalization_gap(

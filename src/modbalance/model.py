@@ -9,9 +9,10 @@ benign region allows, which this module resolves in closed form: each
 moderator type has one projection that takes a point (d,) or rows (k, d).
 
 A :class:`Population` is three read-only things: a feature matrix (n, d), a
-cost vector (n,) and the trend. :func:`best_responses` resolves every user of
-a population in one array pass; the scalar :func:`best_response` on a
-:class:`UserProfile` is the by-definition reference it is checked against.
+cost vector (n,) and the trend. :func:`best_responses` is the one
+best-response implementation: it resolves every user of a population in one
+array pass. The scalar :func:`best_response` on a :class:`UserProfile` is a
+one-row call of it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+
+__all__ = [
+    "BENIGN_TOL", "EmptyBenignRegionError", "UserProfile", "Trend", "Population",
+    "Moderator", "LinearModerator", "PolytopeModerator", "TrivialModerator", "TRIVIAL",
+    "ResponseCase", "BestResponseResult", "ideal_point", "project_hyperplane",
+    "project_polytope", "best_response", "best_responses",
+]
 
 # Scores within this slack of zero count as benign, so points constructed on
 # the decision boundary (projections) are accepted despite roundoff.
@@ -46,6 +54,14 @@ def _as_vector(v, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite in every coordinate")
     return _read_only(arr.copy())
+
+
+def _require_integers(config, *names: str) -> None:
+    """Reject a config field that is a bool or not an integer type."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,13 +284,6 @@ def ideal_point(u: UserProfile, e: Trend) -> np.ndarray:
     return u.x + e.e / (2.0 * u.c)
 
 
-def utility(z, u: UserProfile, e: Trend, f: Moderator) -> float:
-    """Payoff of publishing ``z``: benign-gated trend alignment minus cost."""
-    z = np.asarray(z, dtype=np.float64)
-    gain = float(np.dot(z, e.e)) if f.is_benign(z) else 0.0
-    return gain - u.c * float(np.dot(z - u.x, z - u.x))
-
-
 def project_hyperplane(z, f: LinearModerator) -> np.ndarray:
     """L2 projection of ``z`` (d,) or of its rows (k, d) onto {w.z + b = 0}."""
     z = np.asarray(z, dtype=np.float64)
@@ -320,38 +329,30 @@ def _project_benign(z: np.ndarray, f: Moderator) -> np.ndarray:
 
 
 def best_response(u: UserProfile, e: Trend, f: Moderator) -> BestResponseResult:
-    """Utility-maximizing rewrite of ``u.x`` against moderator ``f``.
+    """Utility-maximizing rewrite of ``u.x`` against moderator ``f``: a
+    one-row :func:`best_responses` call.
 
-    Three regimes: the ideal point is benign and taken as-is; the ideal point
-    is filtered but the origin is benign, so the user settles for the boundary
-    projection of the ideal point; or both are filtered, and the user crosses
-    to the boundary only when doing so beats the zero utility of staying put
-    (ties break to staying).
+    The utility is the trend alignment z*.e, earned unless the user stays
+    filtered, minus the movement cost c |z* - x|^2.
     """
-    z_prime = ideal_point(u, e)
-    if f.is_benign(z_prime):
-        gain = float(np.dot(z_prime, e.e))
-        cost = u.c * float(np.dot(z_prime - u.x, z_prime - u.x))
-        return BestResponseResult(z_prime, ResponseCase.UNCONSTRAINED, False, gain - cost)
-
-    p = _project_benign(z_prime, f)
-    # p sits on the boundary by construction, hence publishes; evaluating the
-    # benign indicator at p would be roundoff-fragile.
-    utility_p = float(np.dot(p, e.e)) - u.c * float(np.dot(p - u.x, p - u.x))
-
-    if f.is_benign(u.x):
-        return BestResponseResult(p, ResponseCase.PROJECTED, False, utility_p)
-    if utility_p > 0.0:
-        return BestResponseResult(p, ResponseCase.CROSS_TO_BOUNDARY, False, utility_p)
-    return BestResponseResult(u.x, ResponseCase.STAY_FILTERED, True, 0.0)
+    Z, cases = best_responses(Population(u.x[None, :], np.array([u.c]), e), f)
+    z, case = Z[0], ResponseCase(cases[0])
+    filtered = case is ResponseCase.STAY_FILTERED
+    gain = 0.0 if filtered else float(np.dot(z, e.e))
+    return BestResponseResult(z, case, filtered, gain - u.c * float(np.dot(z - u.x, z - u.x)))
 
 
 def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's :func:`best_response` in one array pass: z* (n, d) and
-    each user's :class:`ResponseCase` code (n,).
+    """Every user's utility-maximizing rewrite in one array pass: z* (n, d)
+    and each user's :class:`ResponseCase` code (n,).
 
-    Only users whose ideal point is filtered are projected, all in one call
-    of their moderator type's projection.
+    Three regimes: the ideal point is benign and taken as-is; the ideal point
+    is filtered but the origin is benign, so the user settles for the
+    boundary projection of the ideal point; or both are filtered, and the
+    user crosses to the boundary only when doing so beats the zero utility of
+    staying put (ties break to staying). Only users whose ideal point is
+    filtered are projected, all in one call of their moderator type's
+    projection.
     """
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
     Z = X + e / (2.0 * costs)[:, None]

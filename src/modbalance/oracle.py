@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .metrics import halfspace_scores
-from .model import Population, Trend
+from .model import Population, Trend, _require_integers
 from .solver import SolveResult, _solve_result
 
 __all__ = [
@@ -62,6 +62,7 @@ class OracleConfig:
     use_candidates: bool = True
 
     def __post_init__(self):
+        _require_integers(self, "angle_steps", "offset_steps", "K")
         if self.angle_steps < 8 or self.offset_steps < 8:
             raise ValueError("angle_steps and offset_steps must be at least 8")
         if self.K < 0:
@@ -112,7 +113,7 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
     """Best mitigation over all candidates meeting the violation cap K."""
     _require_plane(pop)
     W, B = _candidates(pop, cfg)
-    dm, _, violations = halfspace_scores(pop, W, B)
+    dm, _, violations, _ = halfspace_scores(pop, W, B)
     feasible = violations <= cfg.K
     if not np.any(feasible):
         least = int(np.argmin(violations))
@@ -135,7 +136,7 @@ def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> Solve
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     W, B = _candidates(pop, cfg)
-    dm, penalty, _ = halfspace_scores(pop, W, B)
+    dm, penalty, _, _ = halfspace_scores(pop, W, B)
     best = int(np.argmin(-dm + lam * penalty))
     result = _solve_result(pop, W[best], B[best], 0.0, W.shape[0], True)
     return replace(result, objective=-result.dm + lam * result.penalty)
@@ -153,7 +154,7 @@ def toy_disk(
     is exactly non-decreasing in theta rather than merely in expectation.
     """
     theta_grid = [float(t) for t in theta_grid]
-    if any(t < -1.0 or t > 1.0 for t in theta_grid):
+    if not all(-1.0 <= t <= 1.0 for t in theta_grid):
         raise ValueError("theta values must lie in [-1, 1]")
     if not (c > 0 and np.isfinite(c)):
         raise ValueError(f"manipulation cost c must be positive, got {c}")
@@ -166,6 +167,7 @@ def toy_disk(
     x1 = radius * np.cos(angle)
 
     line = Population(x1[:, None], np.full(samples, c), Trend((1.0,)))
-    dm, _, violations = halfspace_scores(line, np.ones((len(theta_grid), 1)), -np.array(theta_grid))
+    W = np.ones((len(theta_grid), 1))
+    dm, _, violations, _ = halfspace_scores(line, W, -np.array(theta_grid))
     return [(theta, float(dm[i] / samples), float((samples - violations[i]) / samples))
             for i, theta in enumerate(theta_grid)]

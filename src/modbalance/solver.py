@@ -29,7 +29,9 @@ d = 2 reference ``oracle_penalized_2d``, in any dimension.
 
 Every solver here and both oracles return a ``SolveResult``, the one record of
 a solve. It scores its moderator once, by a one-row ``halfspace_scores`` call:
-DM, the squared ideal-point hinge penalty and the violation count.
+DM, the squared ideal-point hinge penalty, the violation count and the
+filtered count, from which its ``metrics`` report is built. No solve
+simulates best responses.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .metrics import MetricReport, halfspace_scores, metrics
-from .model import LinearModerator, Population
+from .metrics import MetricReport, halfspace_scores
+from .model import LinearModerator, Population, _require_integers
 
 __all__ = [
     "SolverConfig",
@@ -107,6 +109,7 @@ class SolverConfig:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        _require_integers(self, "max_iters", "restarts", "seed")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be at least 1")
         if self.tol_grad <= 0 or self.a_min <= 0:
@@ -123,6 +126,7 @@ class CalibrationTarget:
     delta: float = 1e-3
 
     def __post_init__(self):
+        _require_integers(self, "K")
         if self.K < 0:
             raise ValueError("K must be nonnegative")
         if not (np.isfinite(self.delta) and self.delta > 0):
@@ -136,8 +140,10 @@ class SolveResult:
     ``dm``, ``penalty`` and ``violations`` score the returned moderator by one
     ``halfspace_scores`` row: total mitigation, the squared ideal-point hinge
     penalty sum_i max(0, y_i)^2 and the count #{y_i > BENIGN_TOL}, where y_i
-    is user i's ideal-point score. ``metrics`` is the best-response report of
-    the same moderator; its own ``dm`` is summed from the responses.
+    is user i's ideal-point score. ``metrics`` is the report of the same row:
+    its ``dm`` is ``dm``, ``fos_desired`` is (n - violations)/n and
+    ``fos_retained`` is (n - filtered)/n, with the row's filtered count. It
+    equals what ``metrics(pop, moderator)`` counts by best responses.
 
     ``objective`` is the value of the producing search: the summed surrogate
     loss for the PGD solver, and the exact objective of the returned moderator
@@ -268,9 +274,12 @@ def _initial_point(
 def _solve_result(pop: Population, w, b, objective, iterations, converged) -> SolveResult:
     """The SolveResult of halfspace (w, b), scored by one ``halfspace_scores`` row."""
     f = LinearModerator(w, b)
-    dm, penalty, violations = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
-    return SolveResult(f, float(objective), float(dm[0]), float(penalty[0]), int(violations[0]),
-                       metrics(pop, f), int(iterations), bool(converged))
+    dm, penalty, violations, filtered = (
+        v[0].item() for v in halfspace_scores(pop, f.w[None, :], np.array([f.b])))
+    n = pop.n
+    report = MetricReport(dm, (n - violations) / n, (n - filtered) / n, filtered, n)
+    return SolveResult(f, float(objective), dm, penalty, violations, report, int(iterations),
+                       bool(converged))
 
 
 # Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
@@ -352,7 +361,7 @@ _POLISH_MAX_POLLS = 1000
 
 def _penalized_objective(pop: Population, f: LinearModerator, lam: float) -> float:
     """Exact penalized objective: -DM + lam * squared ideal-point hinges."""
-    dm, penalty, _ = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
+    dm, penalty, _, _ = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
     return float(-dm[0] + lam * penalty[0])
 
 

@@ -1,7 +1,8 @@
-"""Shared test oracles: exhaustive utility grids, regime sampling, random
-moderated populations, polytope projection one point at a time, the
-ideal-point hinge and the exact penalized objective, the oracle's candidate
-set built by nested loops, and PGD run one restart at a time."""
+"""Shared test oracles: the per-user best response, utility and mitigation
+by definition, exhaustive utility grids, regime sampling, random moderated
+populations, polytope projection one point at a time, the ideal-point hinge
+and the exact penalized objective, the oracle's candidate set built by nested
+loops, and PGD run one restart at a time."""
 
 import itertools
 
@@ -9,16 +10,78 @@ import numpy as np
 
 from modbalance import (
     BENIGN_TOL,
+    BestResponseResult,
     EmptyBenignRegionError,
     LinearModerator,
     Population,
     PolytopeModerator,
+    ResponseCase,
     TRIVIAL,
-    best_response,
     dm_closed_form_linear,
     ideal_point,
 )
+from modbalance.model import _project_benign
 from modbalance.solver import _branch_terms, _initial_point
+
+
+def utility(z, u, e, f):
+    """Payoff of publishing ``z``: benign-gated trend alignment minus cost."""
+    z = np.asarray(z, dtype=np.float64)
+    gain = float(np.dot(z, e.e)) if f.is_benign(z) else 0.0
+    return gain - u.c * float(np.dot(z - u.x, z - u.x))
+
+
+def reference_best_response(u, e, f):
+    """Utility-maximizing rewrite of ``u.x`` against moderator ``f``, by cases.
+
+    Three regimes: the ideal point is benign and taken as-is; the ideal point
+    is filtered but the origin is benign, so the user settles for the boundary
+    projection of the ideal point; or both are filtered, and the user crosses
+    to the boundary only when doing so beats the zero utility of staying put
+    (ties break to staying).
+    """
+    z_prime = ideal_point(u, e)
+    if f.is_benign(z_prime):
+        gain = float(np.dot(z_prime, e.e))
+        cost = u.c * float(np.dot(z_prime - u.x, z_prime - u.x))
+        return BestResponseResult(z_prime, ResponseCase.UNCONSTRAINED, False, gain - cost)
+
+    p = _project_benign(z_prime, f)
+    # p sits on the boundary by construction, hence publishes; evaluating the
+    # benign indicator at p would be roundoff-fragile.
+    utility_p = float(np.dot(p, e.e)) - u.c * float(np.dot(p - u.x, p - u.x))
+
+    if f.is_benign(u.x):
+        return BestResponseResult(p, ResponseCase.PROJECTED, False, utility_p)
+    if utility_p > 0.0:
+        return BestResponseResult(p, ResponseCase.CROSS_TO_BOUNDARY, False, utility_p)
+    return BestResponseResult(u.x, ResponseCase.STAY_FILTERED, True, 0.0)
+
+
+def baseline_distortion(u, e):
+    """Distortion under the do-nothing moderator: |e|^2 / (4 c^2)."""
+    return float(np.dot(e.e, e.e)) / (4.0 * u.c * u.c)
+
+
+def distortion(u, e, f):
+    """Squared displacement of the best response, for benign-origin users only."""
+    if not f.is_benign(u.x):
+        return 0.0
+    z_star = reference_best_response(u, e, f).z_star
+    delta = z_star - u.x
+    return float(np.dot(delta, delta))
+
+
+def mitigation(u, e, f):
+    """How much distortion ``f`` removes for this user versus doing nothing."""
+    gated_baseline = baseline_distortion(u, e) if f.is_benign(u.x) else 0.0
+    return gated_baseline - distortion(u, e, f)
+
+
+def dm_population(pop, f):
+    """Total distortion mitigation, summed user by user from best responses."""
+    e = pop.trend
+    return sum(mitigation(u, e, f) for u in pop.users)
 
 
 def in_strategic_regime(u, e, f):
@@ -31,7 +94,7 @@ def in_strategic_regime(u, e, f):
     model; optimality checks sample the regime where the case-split response
     is worth at least the opt-out supremum.
     """
-    r = best_response(u, e, f)
+    r = reference_best_response(u, e, f)
     if f.score(u.x) > 0:
         opt_out = 0.0
     else:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    distortion,
+    dm_population,
     grid_max_utility,
     hinge_penalty,
     hinge_violations,
@@ -25,9 +27,7 @@ from modbalance import (
     TRIVIAL,
     best_response,
     calibrate_lambda,
-    distortion,
     dm_closed_form_linear,
-    dm_population,
     generate,
     ideal_point,
     lambda_max,

@@ -5,7 +5,14 @@ import importlib
 import numpy as np
 import pytest
 
-from _helpers import random_moderated_population
+from _helpers import (
+    baseline_distortion,
+    distortion,
+    dm_population,
+    mitigation,
+    random_moderated_population,
+    reference_best_response,
+)
 from modbalance import (
     BENIGN_TOL,
     LinearModerator,
@@ -14,16 +21,11 @@ from modbalance import (
     Trend,
     TRIVIAL,
     UserProfile,
-    baseline_distortion,
-    best_response,
-    distortion,
     dm_closed_form_linear,
-    dm_population,
     generalization_gap,
     halfspace_scores,
     ideal_point,
     metrics,
-    mitigation,
 )
 
 # the module, which the package's ``metrics`` function shadows as an attribute
@@ -169,16 +171,18 @@ class TestClosedForm:
 
 
 def per_user_scores(pop, W, B):
-    """DM, squared-hinge penalty and violation count of each halfspace row,
-    summed user by user from ``best_response`` (through ``mitigation``)."""
-    dm, penalty, count = [], [], []
+    """DM, squared-hinge penalty, violation count and filtered count of each
+    halfspace row, summed user by user from ``reference_best_response``
+    (through ``mitigation`` for DM)."""
+    dm, penalty, count, filtered = [], [], [], []
     for w, b in zip(W, B):
         f = LinearModerator(w, b)
         scores = [f.score(ideal_point(u, pop.trend)) for u in pop.users]
         dm.append(sum(mitigation(u, pop.trend, f) for u in pop.users))
         penalty.append(sum(max(0.0, y) ** 2 for y in scores))
         count.append(sum(y > BENIGN_TOL for y in scores))
-    return np.array(dm), np.array(penalty), np.array(count)
+        filtered.append(sum(reference_best_response(u, pop.trend, f).filtered for u in pop.users))
+    return np.array(dm), np.array(penalty), np.array(count), np.array(filtered)
 
 
 def random_rows(rng, pop, k):
@@ -195,24 +199,25 @@ def random_rows(rng, pop, k):
 class TestHalfspaceScores:
     @staticmethod
     def assert_matches_reference(pop, W, B):
-        dm, penalty, count = halfspace_scores(pop, W, B)
-        dm_ref, penalty_ref, count_ref = per_user_scores(pop, W, B)
+        dm, penalty, count, filtered = halfspace_scores(pop, W, B)
+        dm_ref, penalty_ref, count_ref, filtered_ref = per_user_scores(pop, W, B)
         np.testing.assert_array_equal(count, count_ref)
+        np.testing.assert_array_equal(filtered, filtered_ref)
         assert np.all(np.abs(dm - dm_ref) <= 1e-9 * (1 + np.abs(dm_ref)))
         assert np.all(np.abs(penalty - penalty_ref) <= 1e-9 * (1 + penalty_ref))
 
     def test_all_benign_gives_zeros(self):
         pop = Population.from_arrays(np.full((4, 2), -10.0), np.ones(4), [1.0, 0.0])
-        dm, penalty, count = halfspace_scores(pop, [[1.0, 0.0]], [0.0])
-        assert dm[0] == 0.0 and penalty[0] == 0.0 and count[0] == 0
+        dm, penalty, count, filtered = halfspace_scores(pop, [[1.0, 0.0]], [0.0])
+        assert dm[0] == 0.0 and penalty[0] == 0.0 and count[0] == 0 and filtered[0] == 0
 
     def test_hinge_and_penalty(self):
         pop = Population.from_arrays(np.array([[0.0, 0.0]]), [0.5], [1.0, 0.0])
         # origin score -0.5, ideal point score 1 - 0.5 = 0.5
-        dm, penalty, count = halfspace_scores(pop, [[1.0, 0.0]], [-0.5])
+        dm, penalty, count, filtered = halfspace_scores(pop, [[1.0, 0.0]], [-0.5])
         assert dm[0] == pytest.approx(1.0 - 0.25)
         assert penalty[0] == pytest.approx(0.25)
-        assert count[0] == 1
+        assert count[0] == 1 and filtered[0] == 0
 
     def test_matches_per_user_reference(self):
         rng = np.random.default_rng(17)
@@ -231,8 +236,25 @@ class TestHalfspaceScores:
         W, B = random_rows(rng, pop, 11)
         self.assert_matches_reference(pop, W, B)
 
+    @pytest.mark.parametrize(
+        "W, B, message",
+        [
+            (np.ones((2, 2)), [0.0], "shape"),  # one offset short
+            (np.ones((1, 2)), [[0.0]], "shape"),  # offsets not a vector
+            (np.ones(2), [0.0], "shape"),  # one normal, not a matrix
+            (np.ones((1, 3)), [0.0], "shape"),  # wrong dimension
+            ([[1.0, np.nan]], [0.0], "finite"),
+            ([[1.0, 0.0]], [np.inf], "finite"),
+            ([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], "row 1 of W is a zero normal"),
+        ],
+    )
+    def test_bad_rows_rejected(self, W, B, message):
+        pop = Population.from_arrays([[0.0, 0.0], [1.0, -1.0]], [0.5, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match=message):
+            halfspace_scores(pop, W, B)
+
     def test_batch_equals_single_rows(self):
-        # at the real block size n = 300 takes 873 candidates per block
+        # at the real block size n = 300 takes 218 candidates per block
         rng = np.random.default_rng(6)
         pop, _ = random_instance(rng, n=300, d=4)
         W, B = random_rows(rng, pop, 2000)
@@ -291,7 +313,7 @@ class TestMetrics:
             pop, f = random_moderated_population(rng, kind)
             m = metrics(pop, f)
             e = pop.trend
-            results = [best_response(u, e, f) for u in pop.users]
+            results = [reference_best_response(u, e, f) for u in pop.users]
             desired = sum(f.is_benign(ideal_point(u, e)) for u in pop.users)
             filtered = sum(r.filtered for r in results)
             dm = dm_population(pop, f)

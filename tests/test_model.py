@@ -19,7 +19,6 @@ from modbalance import (
     ideal_point,
     project_hyperplane,
     project_polytope,
-    utility,
 )
 
 E10 = Trend([1.0, 0.0])
@@ -30,7 +29,9 @@ from _helpers import (
     in_strategic_regime,
     random_moderated_population,
     random_polytope,
+    reference_best_response,
     reference_project_polytope,
+    utility,
 )
 
 
@@ -414,7 +415,7 @@ class TestBestResponse:
 
 
 class TestBestResponses:
-    """The array pass against the per-user reference ``best_response``."""
+    """The array pass against the per-user reference ``reference_best_response``."""
 
     @pytest.mark.parametrize("kind", ["halfspace", "polytope", "trivial"])
     def test_matches_per_user_reference(self, kind):
@@ -423,7 +424,7 @@ class TestBestResponses:
         for _ in range(40):
             pop, f = random_moderated_population(rng, kind)
             Z, cases = best_responses(pop, f)
-            ref = [best_response(u, pop.trend, f) for u in pop.users]
+            ref = [reference_best_response(u, pop.trend, f) for u in pop.users]
             assert Z.shape == (pop.n, pop.d) and cases.shape == (pop.n,)
             assert [ResponseCase(c) for c in cases] == [r.case_tag for r in ref]
             np.testing.assert_allclose(Z, np.array([r.z_star for r in ref]), rtol=0, atol=1e-12)

@@ -165,8 +165,9 @@ class TestToyDisk:
         assert a == b
 
     def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            toy_disk([1.5])
+        for theta in (1.5, -1.5, np.nan):
+            with pytest.raises(ValueError, match=r"theta values must lie in \[-1, 1\]"):
+                toy_disk([0.0, theta])
         for c in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="manipulation cost c must be positive"):
                 toy_disk([0.0], c=c)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    dm_population,
     hinge_penalty,
     hinge_violations,
     penalized_objective,
@@ -23,9 +24,9 @@ from modbalance import (
     calibrate_lambda,
     derive_seed,
     dm_closed_form_linear,
-    dm_population,
     generate,
     lambda_max,
+    metrics,
     oracle_2d,
     oracle_penalized_2d,
     OracleConfig,
@@ -555,6 +556,19 @@ class TestSolveResultScores:
             assert r.violations == n - round(n * r.metrics.fos_desired), name
 
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_metrics_report_is_the_scored_row(self, seed):
+        # the report reuses the row's DM bits and counts what the full
+        # best-response pass counts
+        pop, named = self.results(seed)
+        for name, r in named.items():
+            m = metrics(pop, r.moderator)
+            assert r.metrics.dm == r.dm, name
+            assert r.metrics.n == m.n and r.metrics.filtered_count == m.filtered_count, name
+            assert r.metrics.fos_desired == m.fos_desired, name
+            assert r.metrics.fos_retained == m.fos_retained, name
+
+
 class TestSeeds:
     def test_derive_seed_identity_at_zero(self):
         assert derive_seed(123, 0) == 123
@@ -584,6 +598,27 @@ class TestConfigValidation:
             SolverConfig(lam=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(restarts=0)
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda v: SolverConfig(max_iters=v), 2.5),
+    (lambda v: SolverConfig(restarts=v), 2.0),
+    (lambda v: SolverConfig(seed=v), 1.5),
+    (lambda v: SolverConfig(seed=v), True),
+    (lambda v: CalibrationTarget(K=v), 2.5),
+    (lambda v: OracleConfig(angle_steps=v), 8.5),
+    (lambda v: OracleConfig(offset_steps=v), np.float64(16.0)),
+    (lambda v: OracleConfig(K=v), 2.5),
+    (lambda v: MixtureSpec(d=v), 2.5),
+    (lambda v: MixtureSpec(n=v), 500.0),
+    (lambda v: MixtureSpec(k=v), np.True_),
+    (lambda v: MixtureSpec(seed=v), 1.5),
+], ids=["max_iters", "restarts", "seed", "seed_bool", "calibration_K", "angle_steps",
+        "offset_steps", "oracle_K", "mixture_d", "mixture_n", "mixture_k", "mixture_seed"])
+def test_integer_fields_reject_other_types(make, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(value)
+    make(np.int64(10))  # numpy integers are integers
 
 
 def _nonfinite_calls():
