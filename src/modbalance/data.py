@@ -113,6 +113,36 @@ def _parse_meta(line: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _parse_rows(rows: list[tuple[int, str]], d: int) -> np.ndarray:
+    """The (line number, text) data rows as an (n, d + 1) float table.
+
+    One ``np.loadtxt`` call parses a well-formed table to the bits ``float``
+    gives. If it fails, the rows are parsed one at a time by ``float``, which
+    accepts a few more spellings (``1_0``) and names the line of the first bad
+    row. loadtxt also skips the unit separator \\x1f around a number, which
+    ``float`` rejects, so rows holding one go the per-row way too.
+    """
+    lines = [line for _, line in rows]
+    if not any("\x1f" in line for line in lines):
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == d + 1:
+                return table
+    table = np.empty((len(rows), d + 1))
+    for i, (line_no, line) in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            raise DatasetFormatError(f"expected {d + 1} fields, got {len(parts)}", line_no)
+        try:
+            table[i] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DatasetFormatError(f"bad float: {exc}", line_no) from None
+    return table
+
+
 def load(path) -> Population:
     """Read a population back; inverse of :func:`save` to full precision."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -174,16 +204,7 @@ def load(path) -> Population:
     if not rows:
         raise DatasetFormatError("empty population: header present but no data rows")
 
-    table = np.empty((len(rows), d + 1))
-    for i, (line_no, line) in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise DatasetFormatError(f"expected {d + 1} fields, got {len(parts)}", line_no)
-        try:
-            table[i] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad float: {exc}", line_no) from None
-
+    table = _parse_rows(rows, d)
     X, costs = table[:, :d], table[:, d]
     bad_x = ~np.isfinite(X).all(axis=1)
     bad = bad_x | ~(np.isfinite(costs) & (costs > 0))

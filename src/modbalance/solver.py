@@ -19,8 +19,10 @@ therefore not the lam of the exact penalized objective -DM + lam * penalty,
 whose penalty charges the squared hinge of every filtered *ideal point*. The
 sum is minimized by projected gradient descent under the box |w_j| <= 1, all
 restarts at once as the columns of a (d, R) iterate, each column with its own
-step that grows when the Armijo rule accepts a trial point and halves when it
-rejects one.
+step. A trial point the Armijo rule rejects halves the step. One it accepts
+sets the next step to the Barzilai-Borwein step of the move just made (the
+spectral projected gradient of Birgin, Martinez and Raydan, 2000), or grows
+the step by 1.5 where the move saw no positive curvature.
 
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
@@ -82,7 +84,8 @@ class SolverConfig:
     """Hyperparameters for the surrogate objective and its PGD solver.
 
     ``learning_rate`` is each restart's first trial step on the mean-loss
-    scale, and the scale of the stationarity test: a restart has converged
+    scale; later steps follow from the restart's own moves (``pgd_solve``).
+    It is also the scale of the stationarity test: a restart has converged
     once (w - clip(w - (learning_rate/n) grad_w, -1, 1)) / learning_rate and
     grad_b / n together have norm at most ``tol_grad``. ``a_min`` floors the
     loss shape parameter when the candidate normal turns against the trend
@@ -284,9 +287,13 @@ def _solve_result(pop: Population, w, b, objective, iterations, converged) -> So
 
 # Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
 # fraction, and the factors applied to a column's step on accept and reject.
+# An accepted move with positive curvature sets the next step instead, to the
+# Barzilai-Borwein step clamped to [_STEP_MIN, _STEP_MAX].
 _ARMIJO_SIGMA = 1e-4
 _STEP_GROW = 1.5
 _STEP_SHRINK = 0.5
+_STEP_MIN = 1e-10
+_STEP_MAX = 1e10
 
 
 def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -308,10 +315,14 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     step t, first ``learning_rate``. One evaluation per iteration scores
     every active column's trial (clip(w - (t/n) grad_w, -1, 1), b - (t/n)
     grad_b). The Armijo rule accepts it if it lowers the objective by at
-    least ``_ARMIJO_SIGMA`` times the gradient's inner product with the move:
-    the column moves and t grows. Else the column stays and t shrinks. So a
-    column's objective never rises and its current iterate is its best. It
-    stops at a point passing ``SolverConfig``'s stationarity test or after
+    least ``_ARMIJO_SIGMA`` times the gradient's inner product with the move
+    s: the column moves. With dg the change of the gradient from the old
+    point to the trial, the next t is then the Barzilai-Borwein step
+    n (s.s) / (s.dg), clamped to [``_STEP_MIN``, ``_STEP_MAX``], when
+    s.dg > 0, and t times ``_STEP_GROW`` otherwise. A rejected trial leaves
+    the column in place and multiplies t by ``_STEP_SHRINK``. So a column's
+    objective never rises and its current iterate is its best. It stops at a
+    point passing ``SolverConfig``'s stationarity test or after
     ``max_iters`` trials. The first lowest objective with w != 0 wins.
     """
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
@@ -336,10 +347,15 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
         move = np.column_stack(((W_try - Wa).T, B_try - Ba))
         slope = _rowdot(np.column_stack((Ga_W.T, Ga_B)), move)
         ok = obj_try <= obj[active] + _ARMIJO_SIGMA * slope  # nan/inf trials fail
+        dgrad = np.column_stack(((Gt_W - Ga_W).T, Gt_B - Ga_B))
+        ss, sy = _rowdot(move, move), _rowdot(move, dgrad)
+        curved = sy > 0
+        spectral = np.clip(n * ss / np.where(curved, sy, 1.0), _STEP_MIN, _STEP_MAX)
+        on_accept = np.where(curved, spectral, ta * _STEP_GROW)
         cols = active[ok]
         W[:, cols], B[cols], obj[cols] = W_try[:, ok], B_try[ok], obj_try[ok]
         G_W[:, cols], G_B[cols] = Gt_W[:, ok], Gt_B[ok]
-        step[active] = np.where(ok, ta * _STEP_GROW, ta * _STEP_SHRINK)
+        step[active] = np.where(ok, on_accept, ta * _STEP_SHRINK)
         done = ok & _stationary(W_try, Gt_W, Gt_B, n, cfg)
         converged[active[done]] = True
         active = active[~done]
@@ -504,14 +520,15 @@ def calibrate_lambda(
     The bisection assumes that violations shrink as lambda grows, so that
     too many violations at a midpoint send the search to the upper half.
     The assumption fails: the violation count of the PGD solutions is not
-    monotone in lambda (on the README population at K = 25: 0 at
-    lambda = 50.211, 25 at 50.221, 0 at 50.241). The caller then gets the
-    smallest probed lambda whose solve met the cap. Its moderator meets the
-    cap, but a smaller feasible lambda may have been skipped, and it may
-    mitigate nothing (DM = 0 in that README case). Each solve uses a seed
-    derived from (base seed, step index) for a reproducible trace. The
-    interval shrinks from lambda_max to delta in ceil(log2(max/delta))
-    midpoint solves, plus the single feasibility probe at the cap.
+    monotone in lambda (on the README population at K = 25: 44 at
+    lambda = 40.766, 48 at 45.862, 42 at 48.3245 and 1 at 48.3251). The
+    caller then gets the smallest probed lambda whose solve met the cap. Its
+    moderator meets the cap, but a smaller feasible lambda may have been
+    skipped, and it may mitigate nothing (DM = 0 in that README case, at
+    lambda = 48.3251). Each solve uses a seed derived from (base seed, step
+    index) for a reproducible trace. The interval shrinks from lambda_max to
+    delta in ceil(log2(max/delta)) midpoint solves, plus the single
+    feasibility probe at the cap.
     """
     if target.K > pop.n:
         raise ValueError(f"K = {target.K} exceeds population size {pop.n}")

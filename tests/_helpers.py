@@ -324,44 +324,55 @@ def projected_gradient_norm(w, grad_w, grad_b, n, cfg):
 
 
 def reference_restart(r, cfg, X, costs, e):
-    """One PGD restart by definition: (objective, w, b, iterations, converged).
+    """One PGD restart by definition:
+    (objective, w, b, iterations, converged, fallbacks).
 
     The step t starts at the learning rate. Each iteration scores the trial
     point w_t = clip(w - (t/n) grad_w, -1, 1), b_t = b - (t/n) grad_b, and
-    accepts it when f(trial) <= f + 1e-4 * <grad, trial - current>: then the
-    restart moves there and t grows by 1.5; otherwise it stays and t halves.
-    It stops once its current point's projected gradient is at most
-    ``tol_grad``, or after ``max_iters`` trials.
+    accepts it when f(trial) <= f + 1e-4 * <grad, trial - current>. On
+    acceptance the restart moves there; with s the move in (w, b) and dg the
+    change of the gradient along it, t becomes n <s, s> / <s, dg> clamped to
+    [1e-10, 1e10] when <s, dg> > 0, and grows by 1.5 otherwise (counted in
+    ``fallbacks``). A rejected trial halves t. The restart stops once its
+    current point's projected gradient is at most ``tol_grad``, or after
+    ``max_iters`` trials.
     """
     n = X.shape[0]
     w, b = _initial_point(r, cfg, X, e)
     obj, grad_w, grad_b = single_objective_and_gradient(w, b, X, costs, e, cfg)
     t = cfg.learning_rate
-    iterations = 0
+    iterations = fallbacks = 0
     converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= cfg.tol_grad
     while not converged and iterations < cfg.max_iters:
         w_try = np.clip(w - (t / n) * grad_w, -1.0, 1.0)
         b_try = b - (t / n) * grad_b
         obj_try, gw_try, gb_try = single_objective_and_gradient(w_try, b_try, X, costs, e, cfg)
         iterations += 1
-        slope = float(np.dot(np.hstack((grad_w, grad_b)), np.hstack((w_try - w, b_try - b))))
+        s = np.hstack((w_try - w, b_try - b))
+        slope = float(np.dot(np.hstack((grad_w, grad_b)), s))
         if obj_try <= obj + 1e-4 * slope:
+            sy = float(np.dot(s, np.hstack((gw_try - grad_w, gb_try - grad_b))))
+            if sy > 0:
+                t = min(max(n * float(np.dot(s, s)) / sy, 1e-10), 1e10)
+            else:
+                t *= 1.5
+                fallbacks += 1
             w, b, obj, grad_w, grad_b = w_try, b_try, obj_try, gw_try, gb_try
-            t *= 1.5
             converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= cfg.tol_grad
         else:
             t *= 0.5
-    return obj, w, b, iterations, converged
+    return obj, w, b, iterations, converged, fallbacks
 
 
 def reference_pgd(pop, cfg):
     """Best restart, run one at a time, among those with a nonzero normal:
-    (objective, w, b, iterations, converged); the first of equal objectives
-    wins."""
+    (objective, w, b, iterations, converged, fallbacks); the first of equal
+    objectives wins, and ``fallbacks`` sums the 1.5-growths of every restart."""
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
-    best = None
+    best, fallbacks = None, 0
     for r in range(cfg.restarts):
         run = reference_restart(r, cfg, X, costs, e)
+        fallbacks += run[5]
         if np.any(np.abs(run[1]) > 0) and (best is None or run[0] < best[0]):
             best = run
-    return best
+    return best[:5] + (fallbacks,)

@@ -80,6 +80,15 @@ class TestRoundTrip:
         save(pop, path)
         assert load(path) == pop
 
+    def test_spellings_float_accepts_load_with_its_bits(self, tmp_path):
+        rows = [["1_0", " 2.5 ", "+3"], ["-0.1", "1e-3", "0.5"]]
+        path = tmp_path / "pop.csv"
+        path.write_text("# trend = 1,0\nx_0,x_1,c\n" + "".join(",".join(r) + "\n" for r in rows))
+        pop = load(path)
+        expected = np.array([[float(v) for v in r] for r in rows])
+        assert pop.feature_matrix.tobytes() == expected[:, :2].tobytes()
+        assert pop.costs.tobytes() == expected[:, 2].tobytes()
+
 
 class TestLoadErrors:
     def _write(self, tmp_path, text):
@@ -107,6 +116,19 @@ class TestLoadErrors:
     def test_wrong_field_count_reports_line_number(self, tmp_path):
         path = self._write(tmp_path, "# d = 2\n# trend = 1,0\nx_0,x_1,c\n0.0,1.0\n")
         with pytest.raises(DatasetFormatError, match="line 4"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.0,1.0,2.0,3.0", "expected 3 fields, got 4"), ("0.0,1.0 # note,1.0", "bad float"),
+         ("0.0,1.0\x1f,1.0", "bad float")],
+        ids=["ragged", "mid_row_comment", "unit_separator"],
+    )
+    def test_bad_row_among_good_reports_its_line(self, tmp_path, row, message):
+        good = "0.0,0.0,1.0\n"
+        text = "# d = 2\n# trend = 1,0\nx_0,x_1,c\n" + good * 2 + row + "\n" + good
+        path = self._write(tmp_path, text)
+        with pytest.raises(DatasetFormatError, match=f"line 6: {message}"):
             load(path)
 
     def test_missing_trend(self, tmp_path):
