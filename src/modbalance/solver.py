@@ -27,7 +27,10 @@ the step by 1.5 where the move saw no positive curvature.
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
 any halfspace (typically the PGD solution); it is the same objective as the
-d = 2 reference ``oracle_penalized_2d``, in any dimension.
+d = 2 reference ``oracle_penalized_2d``, in any dimension. Each poll of its
+search over directions scores all its turned normals at their exact best
+offsets in one sorted sweep (``_exact_offsets``), and the returned record's
+objective is -dm + lam * penalty of its own scored row.
 
 Every solver here and both oracles return a ``SolveResult``, the one record of
 a solve. It scores its moderator once, by a one-row ``halfspace_scores`` call:
@@ -148,9 +151,9 @@ class SolveResult:
     ``fos_retained`` is (n - filtered)/n, with the row's filtered count. It
     equals what ``metrics(pop, moderator)`` counts by best responses.
 
-    ``objective`` is the value of the producing search: the summed surrogate
-    loss for the PGD solver, and the exact objective of the returned moderator
-    otherwise: -dm + lam * penalty for ``polish_penalized`` and the penalized
+    ``objective`` is the summed surrogate loss for the PGD solver. Otherwise
+    it is the exact objective of the returned moderator, computed from this
+    record: -dm + lam * penalty for ``polish_penalized`` and the penalized
     oracle, -dm for the constrained oracle.
 
     ``iterations_used`` and ``converged`` describe the winning search only.
@@ -369,68 +372,55 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
 
 # Pattern search over the normal's direction: rotation step (radians) at the
 # start, the step below which the search stops, and a cap on polls that
-# guards against an endless run of ever smaller strict improvements.
+# guards against an endless run of ever smaller strict improvements. A sweep
+# value J is a difference of running sums and carries their rounding, so
+# values within _POLISH_TIE * |J| of a poll's best count as tied with it and
+# the first of them wins, as it would in exact arithmetic.
 _POLISH_STEP = 1.5
 _POLISH_STEP_TOL = 1e-3
 _POLISH_MAX_POLLS = 1000
+_POLISH_TIE = 1e-12
 
 
-def _penalized_objective(pop: Population, f: LinearModerator, lam: float) -> float:
-    """Exact penalized objective: -DM + lam * squared ideal-point hinges."""
-    dm, penalty, _, _ = halfspace_scores(pop, f.w[None, :], np.array([f.b]))
-    return float(-dm[0] + lam * penalty[0])
+def _exact_offsets(P: np.ndarray, S: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets b minimizing the exact penalized objective for k unit normals.
 
+    Row r of ``P`` (k, n) holds normal r's origin scores p_i = w.x_i and row r
+    of ``S`` its trend advances s_i = w.e/(2c_i). User i contributes 0 while
+    b <= -p_i - s_i (ideal point benign), -(s_i^2 - (p_i + b)^2) +
+    lam (p_i + s_i + b)^2 while -p_i - s_i < b <= -p_i (mitigated, ideal
+    point filtered), and lam (p_i + s_i + b)^2 once b > -p_i (origin
+    filtered). The objective is continuous at the first breakpoint and jumps
+    up by s_i^2 past the second, whose closed side is attained. Between
+    sorted breakpoints it is one convex quadratic A b^2 + B b + C whose
+    coefficients are running sums, so each piece is minimized in closed form:
+    O(n log n) time and O(n) memory per row. Each row is swept on its own, so
+    it gets the bits its one-row call gets.
 
-def _exact_offset(p: np.ndarray, s: np.ndarray, lam: float) -> tuple[float, float]:
-    """Offset b minimizing the exact penalized objective for one unit normal.
-
-    ``p`` holds the origin scores w.x_i and ``s`` the trend advances
-    w.e/(2c_i). User i contributes 0 while b <= -p_i - s_i (ideal point
-    benign), -(s_i^2 - (p_i + b)^2) + lam (p_i + s_i + b)^2 while
-    -p_i - s_i < b <= -p_i (mitigated, ideal point filtered), and
-    lam (p_i + s_i + b)^2 once b > -p_i (origin filtered). The objective is
-    continuous at the first breakpoint and jumps up by s_i^2 past the second,
-    whose closed side is attained. Between sorted breakpoints it is one convex
-    quadratic A b^2 + B b + C whose coefficients are running sums, so each
-    piece is minimized in closed form: O(n log n) time, O(n) memory.
-
-    Returns (b, J). When no offset beats J = 0, in particular when s <= 0
-    and nobody can be mitigated, b is an all-benign offset with J = 0.
+    Returns (b, J), each (k,). Where no offset beats J = 0, in particular in
+    a row with some s_i <= 0, b is an all-benign offset and J = 0.
     """
-    n = p.shape[0]
-    q = p + s
-    all_benign = -float(np.max(q)) - 1.0
-    if not np.all(s > 0):
-        return all_benign, 0.0
-    breakpoints = np.concatenate([-q, -p])
-    order = np.argsort(breakpoints, kind="stable")
+    k, n = P.shape
+    Q = P + S
+    breakpoints = np.concatenate([-Q, -P], axis=1)
+    order = np.argsort(breakpoints, axis=1, kind="stable")
     enters = order < n  # ideal point crosses: user becomes mitigated and penalized
     user = np.where(enters, order, order - n)
-    pu, qu, su = p[user], q[user], s[user]
+    Pu, Qu, Su = (np.take_along_axis(M, user, axis=1) for M in (P, Q, S))
     mitigated = np.where(enters, 1.0, -1.0)  # joins or leaves the mitigated set
     penalized = lam * enters
-    A = np.cumsum(penalized + mitigated)
-    B = np.cumsum(2.0 * (penalized * qu + mitigated * pu))
-    C = np.cumsum(penalized * qu**2 + mitigated * (pu**2 - su**2))
-    lo = breakpoints[order]
-    hi = np.append(lo[1:], np.inf)
+    A = np.cumsum(penalized + mitigated, axis=1)
+    B = np.cumsum(2.0 * (penalized * Qu + mitigated * Pu), axis=1)
+    C = np.cumsum(penalized * Qu**2 + mitigated * (Pu**2 - Su**2), axis=1)
+    lo = np.take_along_axis(breakpoints, order, axis=1)
+    hi = np.concatenate([lo[:, 1:], np.full((k, 1), np.inf)], axis=1)
     vertex = np.divide(-B, 2.0 * A, out=lo.copy(), where=A > 0)
     b = np.clip(vertex, lo, hi)
     J = (A * b + B) * b + C
-    k = int(np.argmin(J))
-    if J[k] < 0.0:
-        return float(b[k]), float(J[k])
-    return all_benign, 0.0
-
-
-def _with_best_offset(
-    pop: Population, w: np.ndarray, lam: float
-) -> tuple[LinearModerator, float]:
-    """Unit normal w with its exact best offset, scored by direct evaluation."""
-    s = float(np.dot(w, pop.trend.e)) / (2.0 * pop.costs)
-    b, _ = _exact_offset(pop.feature_matrix @ w, s, lam)
-    f = LinearModerator(w, b)
-    return f, _penalized_objective(pop, f, lam)
+    best = np.argmin(J, axis=1)[:, None]
+    b, J = np.take_along_axis(b, best, axis=1)[:, 0], np.take_along_axis(J, best, axis=1)[:, 0]
+    gains = (J < 0.0) & np.all(S > 0, axis=1)
+    return np.where(gains, b, -np.max(Q, axis=1) - 1.0), np.where(gains, J, 0.0)
 
 
 def _tangent_basis(w: np.ndarray) -> np.ndarray:
@@ -442,29 +432,39 @@ def _tangent_basis(w: np.ndarray) -> np.ndarray:
     return H[1:]
 
 
-def _pattern_search(pop: Population, f: LinearModerator, J: float, lam: float):
+def _pattern_search(pop: Population, w: np.ndarray, b: float, J: float, lam: float):
     """Compass search over unit normals, each scored at its exact best offset.
 
-    Every poll rotates w by +/- step along each tangent basis vector and moves
-    to the best strict improvement; a poll without one halves the step.
-    Returns (moderator, J, polls, converged), converged meaning the step fell
-    below its tolerance rather than the poll cap being reached.
+    Every poll turns w by +/- step along each tangent basis vector, in the
+    order +t_0, -t_0, +t_1, -t_1, ..., scores the 2(d - 1) turned normals in
+    one ``_exact_offsets`` call and moves to the first of those tied with
+    the best, unless the current point is among them; a poll without a move
+    (at d = 1, every poll) halves the step. Returns
+    (w, b, J, polls, converged), converged meaning the step fell below its
+    tolerance rather than the poll cap being reached.
     """
+    X, e, two_costs = pop.feature_matrix, pop.trend.e, 2.0 * pop.costs
     step, polls = _POLISH_STEP, 0
     while step >= _POLISH_STEP_TOL and polls < _POLISH_MAX_POLLS:
         polls += 1
-        best = (f, J)
-        for t in _tangent_basis(f.w):
-            for sign in (1.0, -1.0):
-                w = np.cos(step) * f.w + sign * np.sin(step) * t
-                g, Jg = _with_best_offset(pop, w / np.linalg.norm(w), lam)
-                if Jg < best[1]:
-                    best = (g, Jg)
-        if best[0] is f:
+        turns = np.sin(step) * _tangent_basis(w)
+        W = np.cos(step) * w + np.stack([turns, -turns], axis=1).reshape(-1, w.shape[0])
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        offsets, Js = _exact_offsets(W @ X.T, (W @ e)[:, None] / two_costs, lam)
+        scores = np.append(J, Js)  # the current point first, so it keeps ties
+        low = scores.min()
+        best = int(np.argmax(scores <= low + _POLISH_TIE * abs(low)))
+        if best == 0:
             step *= 0.5
         else:
-            f, J = best
-    return f, J, polls, step < _POLISH_STEP_TOL
+            w, b, J = W[best - 1], offsets[best - 1], Js[best - 1]
+    return w, b, J, polls, step < _POLISH_STEP_TOL
+
+
+def _penalized_result(pop: Population, w, b, lam: float, polls, converged) -> SolveResult:
+    """The SolveResult of (w, b) with objective -dm + lam * penalty of its own row."""
+    result = _solve_result(pop, w, b, 0.0, polls, converged)
+    return replace(result, objective=-result.dm + lam * result.penalty)
 
 
 def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveResult:
@@ -473,29 +473,26 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
     The objective is -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2, the one
     ``oracle_penalized_2d`` minimizes, in any dimension. Two pattern searches
     over the normal's direction run, one from f's normal and one from the
-    trend, each scoring a direction at its exact best offset; the better
-    result is kept. Only strict improvements are accepted, so the result
-    never scores above f rescaled to a unit normal, nor above the do-nothing
-    value 0. The returned normal has |w| = 1, so |w_j| <= 1 still holds, and
-    ``objective`` is its exact penalized objective.
+    trend, each poll scoring its turned normals at their exact best offsets
+    in one batch. The better search's moderator is returned if its record
+    scores strictly below f rescaled to a unit normal, and that start
+    otherwise, so the result never scores above it, nor above the do-nothing
+    value 0. |w| = 1, so |w_j| <= 1 still holds, and ``objective`` is
+    -dm + lam * penalty of the returned record.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if f.w.shape[0] != pop.d:
         raise ValueError(f"moderator dimension {f.w.shape[0]} != population d = {pop.d}")
     norm = float(np.linalg.norm(f.w))
-    start = LinearModerator(f.w / norm, f.b / norm)
-    J_start = _penalized_objective(pop, start, lam)
-    g, J = _with_best_offset(pop, start.w, lam)
-    if not J < J_start:
-        g, J = start, J_start
-    trend = pop.trend.e / np.linalg.norm(pop.trend.e)
-    runs = [
-        _pattern_search(pop, g, J, lam),
-        _pattern_search(pop, *_with_best_offset(pop, trend, lam), lam),
-    ]
-    moderator, objective, polls, converged = min(runs, key=lambda r: r[1])
-    return _solve_result(pop, moderator.w, moderator.b, objective, polls, converged)
+    W = np.stack([f.w / norm, pop.trend.e / np.linalg.norm(pop.trend.e)])
+    offsets, Js = _exact_offsets(W @ pop.feature_matrix.T,
+                                 (W @ pop.trend.e)[:, None] / (2.0 * pop.costs), lam)
+    runs = [_pattern_search(pop, W[k], offsets[k], Js[k], lam) for k in (0, 1)]
+    w, b, _, polls, converged = min(runs, key=lambda run: run[2])
+    result = _penalized_result(pop, w, b, lam, polls, converged)
+    start = _penalized_result(pop, W[0], f.b / norm, lam, polls, converged)
+    return result if result.objective < start.objective else start
 
 
 @dataclass(frozen=True)

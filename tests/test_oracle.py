@@ -15,6 +15,7 @@ from modbalance import (
     oracle_2d,
     oracle_penalized_2d,
     pgd_solve,
+    polish_penalized,
     toy_disk,
 )
 from modbalance.oracle import _candidates
@@ -133,7 +134,8 @@ class TestOraclePenalized:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_objective_is_computed_from_the_returned_record(seed):
     # the winner is chosen by the batch score, whose sum order differs from
-    # the one-row rescoring, so the objective must come from the record
+    # the one-row rescoring, so the objective must come from the record; the
+    # polish chooses by its offset sweep's value, which rounds differently
     pop = generate(MixtureSpec(d=2, n=50, k=5, seed=seed))
     for k_cap in (0, 5, 10):
         res = oracle_2d(pop, OracleConfig(K=k_cap))
@@ -141,6 +143,8 @@ def test_objective_is_computed_from_the_returned_record(seed):
     for lam in (0.1, 1.0, 10.0):
         res = oracle_penalized_2d(pop, lam, OracleConfig())
         assert res.objective == -res.dm + lam * res.penalty
+        polished = polish_penalized(pop, res.moderator, lam)
+        assert polished.objective == -polished.dm + lam * polished.penalty
 
 
 class TestToyDisk:

@@ -36,7 +36,7 @@ from modbalance import (
     surrogate_loss,
     sweep_lambda,
 )
-from modbalance.solver import _branch_terms, _exact_offset, _initial_point
+from modbalance.solver import _branch_terms, _exact_offsets, _initial_point
 
 CFG = SolverConfig(epsilon=0.9, lam=10.0)
 
@@ -373,6 +373,12 @@ def penalized_by_definition(p, s, offsets, lam):
     return -dm + lam * np.sum(np.maximum(Y, 0.0) ** 2, axis=1)
 
 
+def exact_offset(p, s, lam):
+    """One normal's (b, J) through a one-row ``_exact_offsets`` call."""
+    b, J = _exact_offsets(p[None, :], s[None, :], lam)
+    return float(b[0]), float(J[0])
+
+
 def _random_unit_instance(rng):
     d = int(rng.integers(1, 6))
     n = int(rng.integers(1, 41))
@@ -394,7 +400,7 @@ class TestPolishPenalized:
                 w = -w
             p = pop.feature_matrix @ w
             s = float(w @ pop.trend.e) / (2.0 * pop.costs)
-            b, J = _exact_offset(p, s, lam)
+            b, J = exact_offset(p, s, lam)
 
             # every breakpoint, and each piece's midpoint and vertex, the
             # vertex interpolated from three interior values of the piece
@@ -420,11 +426,51 @@ class TestPolishPenalized:
             if w @ pop.trend.e > 0:
                 w = -w
             p = pop.feature_matrix @ w
-            b, J = _exact_offset(p, float(w @ pop.trend.e) / (2.0 * pop.costs), lam)
+            b, J = exact_offset(p, float(w @ pop.trend.e) / (2.0 * pop.costs), lam)
             f = LinearModerator(w, b)
             assert J == 0.0
             assert penalized_objective(pop, f, lam) == 0.0
             assert hinge_violations(pop, f) == 0
+
+    def test_each_stacked_row_equals_its_one_row_call(self):
+        # the 300 instances of the exhaustive check, each with a stack of
+        # unit normals of its population, against the trend ones included
+        rng, normals = np.random.default_rng(31), np.random.default_rng(34)
+        for _ in range(300):
+            pop, w, lam = _random_unit_instance(rng)
+            W = np.vstack([w, -w, normals.normal(size=(4, pop.d))])
+            W /= np.linalg.norm(W, axis=1, keepdims=True)
+            P = W @ pop.feature_matrix.T
+            S = (W @ pop.trend.e)[:, None] / (2.0 * pop.costs)
+            b, J = _exact_offsets(P, S, lam)
+            assert b.shape == J.shape == (W.shape[0],)
+            for r in range(W.shape[0]):
+                b_r, J_r = _exact_offsets(P[r:r + 1], S[r:r + 1], lam)
+                assert b[r].tobytes() == b_r[0].tobytes()
+                assert J[r].tobytes() == J_r[0].tobytes()
+
+    def test_line_polls_only_halve_the_step(self):
+        # d = 1 has no tangent directions: every poll scores an empty stack,
+        # finds no move and halves the step, 1.5 / 2^11 < 1e-3 after 11 polls
+        pop = Population.from_arrays(
+            np.array([[0.1], [0.5], [-0.3], [1.2]]), np.array([1.0, 0.5, 2.0, 1.0]), [1.0]
+        )
+        res = polish_penalized(pop, LinearModerator([2.0], -0.4), 1.0)
+        assert res.iterations_used == 11 and res.converged
+        assert res.objective == pytest.approx(-0.4225, rel=1e-12)
+        assert res.moderator.w.tolist() == [1.0]
+        assert res.moderator.b == -1.225
+
+    def test_exact_ties_go_to_the_first_turn(self):
+        # The trend is e_0. Polling from it at step 0.375, the turns toward
+        # +e_3 and +e_4 share w.e, and user 90 alone decides both optima, so
+        # both score -s_90^2 / (1 + lam); their sweep values differ by 1e-14
+        # of rounding. Following that rounding ends at J = -0.2053 after 130
+        # polls; the first of the tied turns, +e_3, leads here.
+        pop = generate(MixtureSpec(d=5, n=100, k=5, seed=11))
+        res = polish_penalized(pop, LinearModerator(pop.trend.e, 0.0), 10.0)
+        assert res.objective == pytest.approx(-0.2078227369935708, rel=1e-12)
+        assert res.iterations_used == 75
 
     def test_never_above_start_or_zero(self):
         rng = np.random.default_rng(33)
@@ -435,6 +481,7 @@ class TestPolishPenalized:
             norm = np.linalg.norm(f.w)
             start = LinearModerator(f.w / norm, f.b / norm)
             assert res.objective == penalized_objective(pop, res.moderator, lam)
+            assert res.objective == -res.dm + lam * res.penalty
             assert res.objective <= penalized_objective(pop, start, lam)
             assert res.objective <= 0.0
             assert np.linalg.norm(res.moderator.w) == pytest.approx(1.0, abs=1e-12)
