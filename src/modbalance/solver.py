@@ -18,11 +18,11 @@ however far the ideal point x + e/2c lies past the boundary. Its lam is
 therefore not the lam of the exact penalized objective -DM + lam * penalty,
 whose penalty charges the squared hinge of every filtered *ideal point*. The
 sum is minimized by projected gradient descent under the box |w_j| <= 1, all
-restarts at once as the columns of a (d, R) iterate, each column with its own
-step. A trial point the Armijo rule rejects halves the step. One it accepts
-sets the next step to the Barzilai-Borwein step of the move just made (the
-spectral projected gradient of Birgin, Martinez and Raydan, 2000), or grows
-the step by 1.5 where the move saw no positive curvature.
+restarts at once as the rows of an (R, d + 1) iterate [w | b], each row with
+its own step. A trial point the Armijo rule rejects halves the step. One it
+accepts sets the next step to the Barzilai-Borwein step of the move just made
+(the spectral projected gradient of Birgin, Martinez and Raydan, 2000), or
+grows the step by 1.5 where the move saw no positive curvature.
 
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
@@ -175,79 +175,87 @@ class SolveResult:
 
 
 def _branch_terms(y: np.ndarray, a: np.ndarray, eps: float, lam: float):
-    """Loss values and partials (d/dy, d/da), elementwise for any shape; a > 0.
+    """Loss values, dl/dy and dl/dy + dl/da, elementwise for 1-D or 2-D arrays; a > 0.
 
-    Each output is one ``np.where`` choice between the three branches. The
-    left branch's denominator changes sign inside the middle region, so it is
-    replaced by 1 outside the left region before anything divides by it.
+    The middle and right branches share the gap g = y - a: with k = lam where
+    g > 0 and 1 otherwise, the value is k g^2 - a^2 (the middle branch's
+    y^2 - 2ay is g^2 - a^2), dl/dy is 2 k g and dl/dy + dl/da is -2a; k g is
+    formed as g + (lam - 1) max(g, 0). The left branch, q = (1-eps^2)^2 a^3 /
+    den with den = 2 eps y + beta a, is computed only on the users left of
+    (1-eps) a, where den < 0, and skipped when there are none: there
+    dl/dy = -2 eps q / den and dl/dy + dl/da = q (3/a - (2 eps + beta)/den).
+    Every output is elementwise, so a row gets the bits it gets alone.
     """
-    left = y < (1.0 - eps) * a
-    right = y > a
-    num = (1.0 - eps**2) ** 2 * a**3
     beta = 3.0 * (1.0 - eps) ** 2 - 4.0 * (1.0 - eps)
-    den = np.where(left, 2.0 * eps * y + beta * a, 1.0)
     gap = y - a
-    values = np.where(
-        left, num / den, np.where(right, lam * gap**2 - a**2, y**2 - 2.0 * a * y)
-    )
-    dl_dy = np.where(
-        left, -2.0 * eps * num / den**2, np.where(right, 2.0 * lam * gap, 2.0 * y - 2.0 * a)
-    )
-    dl_da = np.where(
-        left,
-        3.0 * (1.0 - eps**2) ** 2 * a**2 / den - beta * num / den**2,
-        np.where(right, -2.0 * lam * gap - 2.0 * a, -2.0 * y),
-    )
-    return values, dl_dy, dl_da
+    kgap = gap + (lam - 1.0) * np.maximum(gap, 0.0)
+    values = kgap * gap - a * a
+    dl_dy = 2.0 * kgap
+    dl_dsum = -2.0 * a
+    left = np.flatnonzero(y < (1.0 - eps) * a)
+    if left.size:
+        yl, al = y.take(left), a.take(left)
+        den = 2.0 * eps * yl + beta * al
+        q = (1.0 - eps**2) ** 2 * (al * al * al) / den
+        values.put(left, q)
+        dl_dy.put(left, -2.0 * eps * q / den)
+        dl_dsum.put(left, q * (3.0 / al - (2.0 * eps + beta) / den))
+    return values, dl_dy, dl_dsum
 
 
 def surrogate_loss(y: float, a: float, cfg: SolverConfig) -> float:
     """Single-user surrogate loss; rejects a <= 0 (caller applies the floor)."""
     if a <= 0:
         raise NonPositiveAError(f"loss shape parameter a must be positive, got {a}")
-    values, _, _ = _branch_terms(np.float64(y), np.float64(a), cfg.epsilon, cfg.lam)
-    return float(values)
+    values, _, _ = _branch_terms(np.array([y], dtype=np.float64),
+                                 np.array([a], dtype=np.float64), cfg.epsilon, cfg.lam)
+    return float(values[0])
 
 
-def _objective_and_gradient(W, B, X, costs, e, cfg: SolverConfig):
+def _objective_and_gradient(Z, X, e, half_inv_cost, cfg: SolverConfig):
     """Summed surrogate loss and its exact gradient at R points at once.
 
-    Column r of ``W`` (d, R) and entry r of ``B`` (R,) are one point (w, b).
-    Returns the objectives (R,), the w-gradients (d, R) and the b-gradients
-    (R,). Both y and a depend on w (da/dw = e/(2c)); only y depends on b.
-    Where the floor is active, a is held constant so its chain-rule term
-    drops out.
+    Row r of ``Z`` (R, d + 1) is one point [w | b]; ``half_inv_cost`` is
+    1/(2c) per user. Returns the objectives (R,) and the gradients G (R, d + 1)
+    in the same layout. Both y and a depend on w (da/dw = e/(2c)); only y
+    depends on b, so G's b entry is the sum of dl/dy and its w part is
+    X^T dl/dy + e sum_i (dl/dy + dl/da)_i / (2c_i). Where the floor is active
+    (a_raw < a_min), a is held constant: its chain-rule term drops out and
+    the sum is dl/dy alone.
 
     Per-user terms are laid out (R, n) and each product with X or e is a
     stacked matmul over contiguous rows, which numpy runs as one
-    matrix-vector product per row: each column gets the bits it would get
+    matrix-vector product per row: each row gets the bits it would get
     alone. That matters because objectives near zero are ill-conditioned (a
     user's y can be a 1e-6 difference of O(1) scores); one matrix-matrix
     product sums in another order and moves them by up to 6e-10 relative.
     """
-    Wr = np.ascontiguousarray(W.T)
-    half_inv_cost = 1.0 / (2.0 * costs)
-    a_raw = np.matmul(Wr[:, None, :], e) * half_inv_cost
-    a = np.maximum(a_raw, cfg.a_min)
-    y = np.matmul(X, Wr[:, :, None])[:, :, 0] + B[:, None] + a_raw
+    W = np.ascontiguousarray(Z[:, :-1])
+    a_raw = np.matmul(W[:, None, :], e) * half_inv_cost
+    y = np.matmul(X, W[:, :, None])[:, :, 0] + Z[:, -1:] + a_raw
+    floor = a_raw < cfg.a_min
+    floored = floor.any()
+    a = np.maximum(a_raw, cfg.a_min) if floored else a_raw
 
-    values, dl_dy, dl_da = _branch_terms(y, a, cfg.epsilon, cfg.lam)
-    dl_da = np.where(a_raw < cfg.a_min, 0.0, dl_da)
+    values, dl_dy, dl_dsum = _branch_terms(y, a, cfg.epsilon, cfg.lam)
+    if floored:
+        np.copyto(dl_dsum, dl_dy, where=floor)
 
-    grad_w = np.matmul(X.T, dl_dy[:, :, None])[:, :, 0]
-    grad_W = (grad_w + np.sum((dl_dy + dl_da) * half_inv_cost, axis=1)[:, None] * e).T
-    return np.sum(values, axis=1), grad_W, np.sum(dl_dy, axis=1)
+    G = np.empty_like(Z)
+    G[:, :-1] = np.matmul(X.T, dl_dy[:, :, None])[:, :, 0]
+    G[:, :-1] += (dl_dsum * half_inv_cost).sum(axis=1)[:, None] * e
+    G[:, -1] = dl_dy.sum(axis=1)
+    return values.sum(axis=1), G
 
 
 def surrogate_gradient(
     w, b: float, pop: Population, cfg: SolverConfig
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of the summed surrogate loss over the population."""
-    W = np.asarray(w, dtype=np.float64)[:, None]
-    _, grad_W, grad_B = _objective_and_gradient(
-        W, np.array([float(b)]), pop.feature_matrix, pop.costs, pop.trend.e, cfg
-    )
-    return grad_W[:, 0], float(grad_B[0])
+    Z = np.append(np.asarray(w, dtype=np.float64), float(b))[None, :]
+    _, G = _objective_and_gradient(
+        Z, pop.feature_matrix, pop.trend.e, 1.0 / (2.0 * pop.costs), cfg)
+    return G[0, :-1], float(G[0, -1])
 
 
 def lambda_max(pop: Population) -> float:
@@ -289,7 +297,7 @@ def _solve_result(pop: Population, w, b, objective, iterations, converged) -> So
 
 
 # Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
-# fraction, and the factors applied to a column's step on accept and reject.
+# fraction, and the factors applied to a row's step on accept and reject.
 # An accepted move with positive curvature sets the next step instead, to the
 # Barzilai-Borwein step clamped to [_STEP_MIN, _STEP_MAX].
 _ARMIJO_SIGMA = 1e-4
@@ -304,70 +312,71 @@ def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
 
 
-def _stationary(W, G_W, G_B, n: int, cfg: SolverConfig) -> np.ndarray:
-    """Per column: passes the stationarity test of ``SolverConfig``."""
-    W_step = np.clip(W - (cfg.learning_rate / n) * G_W, -1.0, 1.0)
-    P = np.column_stack(((W - W_step).T / cfg.learning_rate, G_B / n))
+def _stationary(Z, G, n: int, cfg: SolverConfig) -> np.ndarray:
+    """Per row of [w | b]: passes the stationarity test of ``SolverConfig``."""
+    P = (Z - np.clip(Z - (cfg.learning_rate / n) * G, -1.0, 1.0)) / cfg.learning_rate
+    P[:, -1] = G[:, -1] / n
     return np.sqrt(_rowdot(P, P)) <= cfg.tol_grad
 
 
 def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     """Minimize the summed surrogate loss under |w_j| <= 1; best of restarts.
 
-    The restarts are the columns of one (d, R) iterate, each with its own
-    step t, first ``learning_rate``. One evaluation per iteration scores
-    every active column's trial (clip(w - (t/n) grad_w, -1, 1), b - (t/n)
+    The restarts are the rows of one (R, d + 1) iterate [w | b], each with
+    its own step t, first ``learning_rate``. One evaluation per iteration
+    scores every running row's trial (clip(w - (t/n) grad_w, -1, 1), b - (t/n)
     grad_b). The Armijo rule accepts it if it lowers the objective by at
     least ``_ARMIJO_SIGMA`` times the gradient's inner product with the move
-    s: the column moves. With dg the change of the gradient from the old
-    point to the trial, the next t is then the Barzilai-Borwein step
+    s: the row moves. With dg the change of the gradient from the old point
+    to the trial, the next t is then the Barzilai-Borwein step
     n (s.s) / (s.dg), clamped to [``_STEP_MIN``, ``_STEP_MAX``], when
     s.dg > 0, and t times ``_STEP_GROW`` otherwise. A rejected trial leaves
-    the column in place and multiplies t by ``_STEP_SHRINK``. So a column's
+    the row in place and multiplies t by ``_STEP_SHRINK``. So a row's
     objective never rises and its current iterate is its best. It stops at a
     point passing ``SolverConfig``'s stationarity test or after
     ``max_iters`` trials. The first lowest objective with w != 0 wins.
     """
-    X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
-    n = X.shape[0]
-    starts = [_initial_point(r, cfg, X, e) for r in range(cfg.restarts)]
-    W = np.stack([w for w, _ in starts], axis=1)
-    B = np.array([b for _, b in starts])
-    obj, G_W, G_B = _objective_and_gradient(W, B, X, costs, e, cfg)
-    step = np.full(cfg.restarts, cfg.learning_rate)
+    X, e = pop.feature_matrix, pop.trend.e
+    n, d = X.shape
+    half_inv_cost = 1.0 / (2.0 * pop.costs)
+    upper = np.append(np.ones(d), np.inf)
+    Z = np.array([np.append(w, b) for w, b in
+                  (_initial_point(r, cfg, X, e) for r in range(cfg.restarts))])
+    obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg)
     iterations = np.zeros(cfg.restarts, dtype=np.int64)
-    converged = _stationary(W, G_W, G_B, n, cfg)
-    active = np.flatnonzero(~converged)
+    converged = _stationary(Z, G, n, cfg)
 
-    for _ in range(cfg.max_iters):
-        if active.size == 0:
-            break
-        Wa, Ba, Ga_W, Ga_B, ta = W[:, active], B[active], G_W[:, active], G_B[active], step[active]
-        W_try = np.clip(Wa - (ta / n) * Ga_W, -1.0, 1.0)
-        B_try = Ba - (ta / n) * Ga_B
-        obj_try, Gt_W, Gt_B = _objective_and_gradient(W_try, B_try, X, costs, e, cfg)
-        iterations[active] += 1
-        move = np.column_stack(((W_try - Wa).T, B_try - Ba))
-        slope = _rowdot(np.column_stack((Ga_W.T, Ga_B)), move)
-        ok = obj_try <= obj[active] + _ARMIJO_SIGMA * slope  # nan/inf trials fail
-        dgrad = np.column_stack(((Gt_W - Ga_W).T, Gt_B - Ga_B))
-        ss, sy = _rowdot(move, move), _rowdot(move, dgrad)
+    # The running rows' state, compacted, so a trial indexes nothing; a row's
+    # point, objective and trial count are written back when it stops.
+    rows = np.flatnonzero(~converged)
+    Zr, Gr, objr = Z[rows], G[rows], obj[rows]
+    step = np.full(rows.size, cfg.learning_rate)
+    trials = 0
+    while rows.size and trials < cfg.max_iters:
+        trials += 1
+        Z_try = np.clip(Zr - (step / n)[:, None] * Gr, -upper, upper)
+        obj_try, G_try = _objective_and_gradient(Z_try, X, e, half_inv_cost, cfg)
+        move = Z_try - Zr
+        ok = obj_try <= objr + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
+        ss, sy = _rowdot(move, move), _rowdot(move, G_try - Gr)
         curved = sy > 0
         spectral = np.clip(n * ss / np.where(curved, sy, 1.0), _STEP_MIN, _STEP_MAX)
-        on_accept = np.where(curved, spectral, ta * _STEP_GROW)
-        cols = active[ok]
-        W[:, cols], B[cols], obj[cols] = W_try[:, ok], B_try[ok], obj_try[ok]
-        G_W[:, cols], G_B[cols] = Gt_W[:, ok], Gt_B[ok]
-        step[active] = np.where(ok, on_accept, ta * _STEP_SHRINK)
-        done = ok & _stationary(W_try, Gt_W, Gt_B, n, cfg)
-        converged[active[done]] = True
-        active = active[~done]
+        step = np.where(ok, np.where(curved, spectral, step * _STEP_GROW), step * _STEP_SHRINK)
+        Zr, Gr = np.where(ok[:, None], Z_try, Zr), np.where(ok[:, None], G_try, Gr)
+        objr = np.where(ok, obj_try, objr)
+        done = ok & _stationary(Z_try, G_try, n, cfg)
+        if done.any():
+            stop, live = rows[done], ~done
+            Z[stop], obj[stop], iterations[stop] = Zr[done], objr[done], trials
+            converged[stop] = True
+            rows, Zr, Gr, objr, step = rows[live], Zr[live], Gr[live], objr[live], step[live]
+    Z[rows], obj[rows], iterations[rows] = Zr, objr, trials
 
-    nonzero = np.flatnonzero(np.any(np.abs(W) > 0, axis=0))
+    nonzero = np.flatnonzero(np.any(np.abs(Z[:, :-1]) > 0, axis=1))
     if nonzero.size == 0:
         raise DegenerateSolutionError("all restarts collapsed to w = 0; re-seed")
     r = nonzero[np.argmin(obj[nonzero])]
-    return _solve_result(pop, W[:, r], B[r], obj[r], iterations[r], converged[r])
+    return _solve_result(pop, Z[r, :-1], Z[r, -1], obj[r], iterations[r], converged[r])
 
 
 # Pattern search over the normal's direction: rotation step (radians) at the

@@ -311,9 +311,9 @@ def single_objective_and_gradient(w, b, X, costs, e, cfg):
     a_raw = float(np.dot(w, e)) * half_inv_cost
     a = np.maximum(a_raw, cfg.a_min)
     y = X @ w + b + a_raw
-    values, dl_dy, dl_da = _branch_terms(y, a, cfg.epsilon, cfg.lam)
-    dl_da = np.where(a_raw < cfg.a_min, 0.0, dl_da)
-    grad_w = X.T @ dl_dy + e * float(np.sum((dl_dy + dl_da) * half_inv_cost))
+    values, dl_dy, dl_dsum = _branch_terms(y, a, cfg.epsilon, cfg.lam)
+    dl_dsum = np.where(a_raw < cfg.a_min, dl_dy, dl_dsum)  # a is held at the floor
+    grad_w = X.T @ dl_dy + e * float(np.sum(dl_dsum * half_inv_cost))
     return float(np.sum(values)), grad_w, float(np.sum(dl_dy))
 
 

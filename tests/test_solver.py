@@ -36,7 +36,12 @@ from modbalance import (
     surrogate_loss,
     sweep_lambda,
 )
-from modbalance.solver import _branch_terms, _exact_offsets, _initial_point
+from modbalance.solver import (
+    _branch_terms,
+    _exact_offsets,
+    _initial_point,
+    _objective_and_gradient,
+)
 
 CFG = SolverConfig(epsilon=0.9, lam=10.0)
 
@@ -150,6 +155,24 @@ class TestSurrogateLoss:
                     want = right_branch(yi, ai, lam)
                 assert values[i, r] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("y_over_a", [-3.0, 0.6, 1.8])  # left, middle, right
+    def test_partials_match_central_differences(self, y_over_a):
+        # dl/dy along y, and dl/dy + dl/da along the diagonal (1, 1) of (y, a)
+        eps, lam, h = 0.6, 3.0, 1e-6
+        a = 0.7
+        y = y_over_a * a
+        if y < (1 - eps) * a:
+            loss = lambda yv, av: left_branch(yv, av, eps)
+        elif y <= a:
+            loss = middle_branch
+        else:
+            loss = lambda yv, av: right_branch(yv, av, lam)
+        _, dl_dy, dl_dsum = _branch_terms(np.array([y]), np.array([a]), eps, lam)
+        fd_y = (loss(y + h, a) - loss(y - h, a)) / (2 * h)
+        fd_sum = (loss(y + h, a + h) - loss(y - h, a - h)) / (2 * h)
+        assert dl_dy[0] == pytest.approx(fd_y, rel=1e-7, abs=1e-9)
+        assert dl_dsum[0] == pytest.approx(fd_sum, rel=1e-7, abs=1e-9)
+
 
 def _fd_gradient(pop, w, b, cfg, h=1e-6):
     """Central differences on the summed loss, built from the scalar op."""
@@ -225,6 +248,18 @@ class TestSurrogateGradient:
         _, gb = surrogate_gradient(w, b, pop, cfg)
         y, a = 0.7, 1.0
         assert gb == pytest.approx(2 * y - 2 * a, abs=1e-12)
+
+    def test_floor_holds_a_at_a_min(self):
+        # w.e < 0 for every user, so a = a_min throughout and only y moves with w
+        X = np.array([[1.0, 0.5], [-0.8, 1.2], [2.0, -1.0], [0.3, 0.9]])
+        pop = Population.from_arrays(X, [0.5, 1.0, 1.5, 0.8], [1.0, 0.5])
+        w, b = np.array([-0.6, 0.2]), 0.15
+        cfg = SolverConfig(epsilon=0.8, lam=2.0)
+        assert np.all(w @ pop.trend.e / (2.0 * pop.costs) < cfg.a_min)
+        assert not _near_kink(pop, w, b, cfg)
+        gw, gb = surrogate_gradient(w, b, pop, cfg)
+        fw, fb = _fd_gradient(pop, w, b, cfg)
+        np.testing.assert_allclose(np.hstack([gw, gb]), np.hstack([fw, fb]), rtol=1e-7)
 
 
 class TestPgdSolve:
@@ -316,6 +351,30 @@ class TestBatchedRestarts:
                 assert res.converged == ref_converged
         assert single >= 5
         assert fallbacks >= 1  # an accepted move without positive curvature
+
+    @pytest.mark.parametrize("R", [1, 3, 8])
+    def test_rows_match_one_row_calls(self, R):
+        rng = np.random.default_rng(R)
+        for case in range(10):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 120))
+            pop = Population.from_arrays(
+                rng.normal(scale=1.5, size=(n, d)), rng.uniform(0.3, 2.0, n), rng.normal(size=d)
+            )
+            X, e = pop.feature_matrix, pop.trend.e
+            half_inv_cost = 1.0 / (2.0 * pop.costs)
+            cfg = SolverConfig(
+                epsilon=float(rng.uniform(0.3, 0.95)), lam=[0.0, 0.1, 10.0][case % 3]
+            )
+            Z = np.column_stack([rng.uniform(-1.0, 1.0, (R, d)), rng.normal(size=R)])
+            Z[0, :d] *= -1.0 if Z[0, :d] @ e > 0 else 1.0  # w.e <= 0: the floor applies
+            Z[-1, case % d] = 1.0  # a coordinate on the box
+            obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg)
+            for r in range(R):
+                row = Z[r:r + 1].copy()
+                one_obj, one_G = _objective_and_gradient(row, X, e, half_inv_cost, cfg)
+                assert one_obj.tobytes() == obj[r:r + 1].tobytes()
+                assert one_G.tobytes() == G[r:r + 1].tobytes()
 
 
 class TestArmijoStep:
