@@ -155,18 +155,16 @@ class TestSurrogateLoss:
                     want = right_branch(yi, ai, lam)
                 assert values[i, r] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("y_over_a", [-3.0, 0.6, 1.8])  # left, middle, right
-    def test_partials_match_central_differences(self, y_over_a):
-        # dl/dy along y, and dl/dy + dl/da along the diagonal (1, 1) of (y, a)
-        eps, lam, h = 0.6, 3.0, 1e-6
-        a = 0.7
-        y = y_over_a * a
-        if y < (1 - eps) * a:
-            loss = lambda yv, av: left_branch(yv, av, eps)
-        elif y <= a:
-            loss = middle_branch
-        else:
-            loss = lambda yv, av: right_branch(yv, av, lam)
+    @pytest.mark.parametrize("region", ["left", "middle", "right"])
+    def test_partials_match_central_differences(self, region):
+        # dl/dy along y, and dl/dy + dl/da along the diagonal (1, 1) of (y, a),
+        # inside each region and away from its joins at 0.28 and 0.7
+        eps, lam, a, h = 0.6, 3.0, 0.7, 1e-6
+        y, loss = {
+            "left": (-2.1, lambda yv, av: left_branch(yv, av, eps)),
+            "middle": (0.42, middle_branch),
+            "right": (1.26, lambda yv, av: right_branch(yv, av, lam)),
+        }[region]
         _, dl_dy, dl_dsum = _branch_terms(np.array([y]), np.array([a]), eps, lam)
         fd_y = (loss(y + h, a) - loss(y - h, a)) / (2 * h)
         fd_sum = (loss(y + h, a + h) - loss(y - h, a - h)) / (2 * h)
