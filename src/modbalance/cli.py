@@ -40,6 +40,7 @@ SOLVE_HEADER = "lambda," + _RESULT_COLUMNS
 CALIBRATE_HEADER = "lambda,feasible,violations,solve_count," + _RESULT_COLUMNS
 SWEEP_HEADER = "lambda,seed," + _RESULT_COLUMNS
 ORACLE_HEADER = "mode,lambda,k_max,dm,violations,penalty,objective,w_0,w_1,b,candidates"
+TOY_HEADER = "theta,dm,fos"
 
 _DEFAULT_LAMBDAS = [float(v) for v in np.logspace(-1.0, 2.0, 7)]
 
@@ -330,17 +331,17 @@ def _write_sweep_plot(path: str, lambdas: list[float], rows: list[tuple]) -> Non
 
 def _cmd_oracle(params: dict) -> int:
     _check_outputs(params)
+    mode = params["mode"]
+    if mode not in ("constrained", "penalized"):
+        raise UsageError(f"mode must be 'constrained' or 'penalized', got {mode!r}")
     pop = data_mod.load(params["data"])
     cfg = OracleConfig(
         **{key: params[key] for key in _ORACLE if key != "K"}, K=params["max_violations"]
     )
-    mode = params["mode"]
     if mode == "penalized":
         result = oracle_penalized_2d(pop, params["lam"], cfg)
-    elif mode == "constrained":
-        result = oracle_2d(pop, cfg)
     else:
-        raise UsageError(f"mode must be 'constrained' or 'penalized', got {mode!r}")
+        result = oracle_2d(pop, cfg)
     row = (
         mode,
         params["lam"],
@@ -363,8 +364,7 @@ def _cmd_toy(params: dict) -> int:
         raise UsageError(f"theta_steps must be at least 1, got {params['theta_steps']}")
     thetas = np.linspace(-1.0, 1.0, params["theta_steps"])
     points = toy_disk(thetas, c=params["c"], samples=params["samples"], seed=params["seed"])
-    rows = [(theta, dm, fos) for theta, dm, fos in points]
-    _write_csv(params["out"], "theta,dm,fos", rows, _footer_lines("toy", params))
+    _write_csv(params["out"], TOY_HEADER, points, _footer_lines("toy", params))
     return 0
 
 
@@ -387,7 +387,7 @@ footer; stripping the '# ' prefix yields a config file that re-runs the job):
   calibrate  {CALIBRATE_HEADER}
   sweep      {SWEEP_HEADER}
   oracle     {ORACLE_HEADER}
-  toy        theta,dm,fos
+  toy        {TOY_HEADER}
 """
 
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .model import Population, _require_integers
+from .model import Population, _require_integers, _stream
 
 __all__ = ["MixtureSpec", "DatasetFormatError", "generate", "save", "load"]
 
@@ -28,6 +27,9 @@ _STREAM_CENTERS = 0
 _STREAM_SIGMAS = 1
 _STREAM_POINTS = 2
 _STREAM_COSTS = 3
+
+# every float in a dataset file: 17 significant digits round-trip a float64
+_FLOAT = "%.17g"
 
 
 class DatasetFormatError(ValueError):
@@ -67,10 +69,6 @@ class MixtureSpec:
             raise ValueError("seed must be a nonnegative integer")
 
 
-def _stream(seed: int, stream: int) -> Generator:
-    return Generator(Philox(key=[int(seed) % 2**64, stream]))
-
-
 def generate(spec: MixtureSpec) -> Population:
     """Draw a population from the mixture; fully determined by spec.seed."""
     centers = _stream(spec.seed, _STREAM_CENTERS).standard_normal((spec.k, spec.d))
@@ -86,20 +84,16 @@ def generate(spec: MixtureSpec) -> Population:
     return Population.from_arrays(X, costs, trend)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def save(pop: Population, path) -> None:
     """Write one population as a self-describing CSV."""
     d = pop.d
     lines = [
         f"# d = {d}",
         f"# n = {pop.n}",
-        "# trend = " + ",".join(_fmt(v) for v in pop.trend.e),
+        "# trend = " + ",".join(_FLOAT % v for v in pop.trend.e),
         ",".join([f"x_{j}" for j in range(d)] + ["c"]),
     ]
-    row = ",".join(["%.17g"] * (d + 1))
+    row = ",".join([_FLOAT] * (d + 1))
     lines.extend(row % tuple(r) for r in np.column_stack([pop.feature_matrix, pop.costs]).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = [
     "BENIGN_TOL", "EmptyBenignRegionError", "UserProfile", "Trend", "Population",
@@ -62,6 +63,19 @@ def _require_integers(config, *names: str) -> None:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _stream(seed: int, stream: int) -> Generator:
+    """The Philox generator keyed (seed mod 2**64, stream), the package's one
+    source of randomness. Key map: data ingredients (seed, 0-3) for centers,
+    sigmas, points and costs; PGD restart r (seed, r); toy sample (seed, 0).
+
+    The solver's keys share the data's key space: ``sweep`` passes one number
+    as data seed and solver seed, and ``derive_seed(s, 0) = s``, so at its
+    first lambda restarts 1-3 draw from the data's sigma, point and cost keys.
+    The keys stay as they are: changing them would move every sweep output.
+    """
+    return Generator(Philox(key=[int(seed) % 2**64, stream]))
 
 
 @dataclass(frozen=True, eq=False)

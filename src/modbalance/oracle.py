@@ -18,14 +18,14 @@ refining the search can only improve the reported optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .metrics import halfspace_scores
-from .model import Population, Trend, _require_integers
-from .solver import SolveResult, _solve_result
+from .model import Population, Trend, _require_integers, _stream
+from .solver import SolveResult, _exact_result
 
 __all__ = [
     "OracleConfig",
@@ -126,8 +126,7 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
         )
     masked = np.where(feasible, dm, -np.inf)
     best = int(np.argmax(masked))
-    result = _solve_result(pop, W[best], B[best], 0.0, W.shape[0], True)
-    return replace(result, objective=-result.dm)
+    return _exact_result(pop, W[best], B[best], None, W.shape[0], True)
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
@@ -138,8 +137,7 @@ def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> Solve
     W, B = _candidates(pop, cfg)
     dm, penalty, _, _ = halfspace_scores(pop, W, B)
     best = int(np.argmin(-dm + lam * penalty))
-    result = _solve_result(pop, W[best], B[best], 0.0, W.shape[0], True)
-    return replace(result, objective=-result.dm + lam * result.penalty)
+    return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
 
 
 def toy_disk(
@@ -158,10 +156,13 @@ def toy_disk(
         raise ValueError("theta values must lie in [-1, 1]")
     if not (c > 0 and np.isfinite(c)):
         raise ValueError(f"manipulation cost c must be positive, got {c}")
+    _require_integers(SimpleNamespace(samples=samples, seed=seed), "samples", "seed")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
 
-    rng = Generator(Philox(key=[int(seed) % 2**64, 0]))
+    rng = _stream(seed, 0)
     radius = np.sqrt(rng.uniform(size=samples))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=samples)
     x1 = radius * np.cos(angle)

@@ -44,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .metrics import MetricReport, halfspace_scores
-from .model import LinearModerator, Population, _require_integers
+from .model import LinearModerator, Population, _require_integers, _stream
 
 __all__ = [
     "SolverConfig",
@@ -273,7 +272,7 @@ def _initial_point(
 ) -> tuple[np.ndarray, float]:
     """Trend-facing start: w along e (plus per-restart noise), boundary at a
     data quantile so restarts probe different cuts through the mass."""
-    rng = Generator(Philox(key=[cfg.seed % 2**64, r]))
+    rng = _stream(cfg.seed, r)
     direction = e.copy()
     if r > 0:
         direction = direction + rng.normal(scale=0.3, size=e.shape[0])
@@ -470,10 +469,11 @@ def _pattern_search(pop: Population, w: np.ndarray, b: float, J: float, lam: flo
     return w, b, J, polls, step < _POLISH_STEP_TOL
 
 
-def _penalized_result(pop: Population, w, b, lam: float, polls, converged) -> SolveResult:
-    """The SolveResult of (w, b) with objective -dm + lam * penalty of its own row."""
-    result = _solve_result(pop, w, b, 0.0, polls, converged)
-    return replace(result, objective=-result.dm + lam * result.penalty)
+def _exact_result(pop: Population, w, b, lam, iterations, converged) -> SolveResult:
+    """(w, b)'s SolveResult, objective -dm + lam * penalty of its own row (-dm if lam is None)."""
+    result = _solve_result(pop, w, b, 0.0, iterations, converged)
+    objective = -result.dm if lam is None else -result.dm + lam * result.penalty
+    return replace(result, objective=objective)
 
 
 def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveResult:
@@ -499,8 +499,8 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
                                  (W @ pop.trend.e)[:, None] / (2.0 * pop.costs), lam)
     runs = [_pattern_search(pop, W[k], offsets[k], Js[k], lam) for k in (0, 1)]
     w, b, _, polls, converged = min(runs, key=lambda run: run[2])
-    result = _penalized_result(pop, w, b, lam, polls, converged)
-    start = _penalized_result(pop, W[0], f.b / norm, lam, polls, converged)
+    result = _exact_result(pop, w, b, lam, polls, converged)
+    start = _exact_result(pop, W[0], f.b / norm, lam, polls, converged)
     return result if result.objective < start.objective else start
 
 

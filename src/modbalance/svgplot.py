@@ -29,13 +29,28 @@ class Series:
     color: str
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _fmt(v) -> str:
+    """A coordinate: a float at two decimals, an int as written."""
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = "middle",
+          rotate: int | None = None) -> str:
+    """A sans-serif <text> at (x, y), turned ``rotate`` degrees about it;
+    ``anchor`` None leaves the text-anchor attribute out."""
+    anchor_attr = "" if anchor is None else f' text-anchor="{anchor}"'
+    turn = "" if rotate is None else f' transform="rotate({rotate} {_fmt(x)} {_fmt(y)})"'
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} font-family="sans-serif" '
+            f'font-size="{size}"{turn}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str = 'stroke="#333333"') -> str:
+    """A <line> from (x1, y1) to (x2, y2) with the given stroke attributes."""
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {stroke}/>')
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
@@ -59,15 +74,15 @@ def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
     x_lo, x_hi = _axis_range([math.log10(x) for s in series for x in s.xs])
     ranges = [_axis_range([*s.ys, *s.lo, *s.hi]) for s in series]
 
-    def px(x: float) -> float:
-        return margin_l + (math.log10(x) - x_lo) / (x_hi - x_lo) * plot_w
+    def px(log_x: float) -> float:
+        return margin_l + (log_x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float, side: int) -> float:
         lo, hi = ranges[side]
         return margin_t + (1.0 - (y - lo) / (hi - lo)) * plot_h
 
     def points(xs, ys, side: int) -> list[str]:
-        return [f"{_fmt(px(x))},{_fmt(py(y, side))}" for x, y in zip(xs, ys)]
+        return [f"{_fmt(px(math.log10(x)))},{_fmt(py(y, side))}" for x, y in zip(xs, ys)]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -75,24 +90,13 @@ def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{_fmt(margin_l)}" y="{_fmt(margin_t)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>',
-        f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _text(width / 2, 20, 14, title),
     ]
 
     for tick in _ticks(x_lo, x_hi):
-        x_px = margin_l + (tick - x_lo) / (x_hi - x_lo) * plot_w
-        parts.append(
-            f'<line x1="{_fmt(x_px)}" y1="{_fmt(margin_t + plot_h)}" '
-            f'x2="{_fmt(x_px)}" y2="{_fmt(margin_t + plot_h + 5)}" stroke="#333333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x_px)}" y="{_fmt(margin_t + plot_h + 18)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{10 ** tick:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt(margin_l + plot_w / 2)}" y="{_fmt(height - 10)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
+        parts.append(_line(px(tick), margin_t + plot_h, px(tick), margin_t + plot_h + 5))
+        parts.append(_text(px(tick), margin_t + plot_h + 18, 11, f"{10 ** tick:.3g}"))
+    parts.append(_text(margin_l + plot_w / 2, height - 10.0, 12, xlabel))
 
     for side, s in enumerate(series):
         lo, hi = ranges[side]
@@ -101,22 +105,10 @@ def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
         anchor = "end" if side == 0 else "start"
         for tick in _ticks(lo, hi):
             y_px = py(tick, side)
-            parts.append(
-                f'<line x1="{_fmt(edge)}" y1="{_fmt(y_px)}" '
-                f'x2="{_fmt(edge + sign * 5)}" y2="{_fmt(y_px)}" stroke="#333333"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(edge + sign * 8)}" y="{_fmt(y_px + 4)}" '
-                f'text-anchor="{anchor}" font-family="sans-serif" '
-                f'font-size="11">{tick:.3g}</text>'
-            )
-        x_lab = edge + sign * 50
-        parts.append(
-            f'<text x="{_fmt(x_lab)}" y="{_fmt(margin_t + plot_h / 2)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'transform="rotate({int(sign * 90)} {_fmt(x_lab)} '
-            f'{_fmt(margin_t + plot_h / 2)})">{s.label}</text>'
-        )
+            parts.append(_line(edge, y_px, edge + sign * 5, y_px))
+            parts.append(_text(edge + sign * 8, y_px + 4, 11, f"{tick:.3g}", anchor))
+        parts.append(_text(edge + sign * 50, margin_t + plot_h / 2, 12, s.label,
+                           rotate=int(sign * 90)))
 
     for side, s in enumerate(series):
         band = points(s.xs, s.hi, side) + points(s.xs[::-1], s.lo[::-1], side)
@@ -133,15 +125,9 @@ def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
     legend_y = margin_t + 14
     for i, s in enumerate(series):
         y = legend_y + 16 * i
-        parts.append(
-            f'<line x1="{_fmt(margin_l + 8)}" y1="{_fmt(y - 4)}" '
-            f'x2="{_fmt(margin_l + 28)}" y2="{_fmt(y - 4)}" '
-            f'stroke="{s.color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(margin_l + 34)}" y="{_fmt(y)}" font-family="sans-serif" '
-            f'font-size="11">{s.label}</text>'
-        )
+        parts.append(_line(margin_l + 8, y - 4, margin_l + 28, y - 4,
+                           f'stroke="{s.color}" stroke-width="2"'))
+        parts.append(_text(margin_l + 34, y, 11, s.label, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

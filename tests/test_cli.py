@@ -280,6 +280,13 @@ class TestOracleCommand:
                   str(tmp_path / "o.csv"), "--mode", "banana"])
         assert rc == 2
 
+    def test_checks_mode_before_loading_data(self, tmp_path, capsys):
+        rc = run(["oracle", "--data", str(tmp_path / "missing.csv"), "--out",
+                  str(tmp_path / "o.csv"), "--mode", "bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "missing.csv" not in err
+
 
 class TestToy:
     def test_csv_shape_and_monotone_speech(self, tmp_path):
@@ -305,6 +312,12 @@ class TestToy:
         out = tmp_path / "toy.csv"
         assert run(["toy", "--out", str(out), "--c", c, "--samples", "100"]) == 2
         assert f"manipulation cost c must be positive, got {c}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_two_without_output(self, tmp_path, capsys):
+        out = tmp_path / "toy.csv"
+        assert run(["toy", "--out", str(out), "--seed", "-1", "--samples", "100"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -178,6 +178,17 @@ class TestToyDisk:
         with pytest.raises(ValueError):
             toy_disk([0.0], samples=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"samples": 10.5}, "samples must be an integer, got 10.5"),
+    ], ids=["negative-seed", "float-seed", "bool-seed", "float-samples"])
+    def test_rejects_bad_seed_and_samples(self, kwargs, message):
+        # a negative seed would alias seed + 2**64 in the Philox key
+        with pytest.raises(ValueError, match=message):
+            toy_disk([0.0], **{"samples": 10, **kwargs})
+
 
 class TestCandidates:
     """The array-built candidate set against the nested-loop definition."""

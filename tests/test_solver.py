@@ -35,6 +35,7 @@ from modbalance import (
     surrogate_gradient,
     surrogate_loss,
     sweep_lambda,
+    toy_disk,
 )
 from modbalance.solver import (
     _branch_terms,
@@ -732,6 +733,15 @@ def test_integer_fields_reject_other_types(make, value):
     with pytest.raises(ValueError, match="must be an integer"):
         make(value)
     make(np.int64(10))  # numpy integers are integers
+
+
+def test_numpy_integer_seeds_draw_the_streams_of_the_equal_int():
+    # the configs accept numpy integers, so every seeded stream takes them too
+    pop = generate(MixtureSpec(d=2, n=20, k=2, seed=np.int64(3)))
+    assert pop == generate(MixtureSpec(d=2, n=20, k=2, seed=3))
+    cfg = SolverConfig(restarts=3, max_iters=5)
+    assert pgd_solve(pop, replace(cfg, seed=np.int64(3))) == pgd_solve(pop, replace(cfg, seed=3))
+    assert toy_disk([0.0], samples=10, seed=np.uint64(3)) == toy_disk([0.0], samples=10, seed=3)
 
 
 def _nonfinite_calls():
