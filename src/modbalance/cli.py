@@ -22,6 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import MixtureSpec
+from .model import _require_int
 from .oracle import NoFeasibleCandidateError, OracleConfig, oracle_2d, oracle_penalized_2d, toy_disk
 from .solver import (
     CalibrationTarget,
@@ -150,7 +151,7 @@ def _read_config(path: str) -> dict[str, str]:
     entries = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")  # as data.load splits: at "\n" only
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     for line_no, line in enumerate(lines, start=1):
@@ -285,8 +286,7 @@ def _check_outputs(params: dict, second: str | None = None) -> str | None:
 
 
 def _cmd_sweep(params: dict) -> int:
-    if params["seeds"] < 1:
-        raise UsageError(f"seeds must be at least 1, got {params['seeds']}")
+    _require_int("seeds", params["seeds"], 1)
     lambdas = params["lambdas"]
     plot_out = None
     if params["plot"]:
@@ -295,11 +295,12 @@ def _cmd_sweep(params: dict) -> int:
         if bad:
             raise UsageError(f"--plot draws lambda on a log axis, so every lambda must "
                              f"be > 0, got {_fmt(bad[0])}")
+    # every dataset's spec and config first, so a bad seed fails before any solve
+    jobs = [(s, _mixture_spec(params, s), _solver_config(params, lam=0.0, seed=s))
+            for s in range(params["seed"], params["seed"] + params["seeds"])]
     rows = []
-    for s in range(params["seed"], params["seed"] + params["seeds"]):
-        pop = data_mod.generate(_mixture_spec(params, s))
-        cfg = _solver_config(params, lam=0.0, seed=s)
-        results = sweep_lambda(pop, lambdas, cfg)
+    for s, spec, cfg in jobs:
+        results = sweep_lambda(data_mod.generate(spec), lambdas, cfg)
         rows.extend((lam, s, *_result_fields(r)) for lam, r in zip(lambdas, results))
     _write_csv(params["out"], SWEEP_HEADER, rows, _footer_lines("sweep", params))
     if plot_out:
@@ -360,8 +361,7 @@ def _cmd_oracle(params: dict) -> int:
 
 
 def _cmd_toy(params: dict) -> int:
-    if params["theta_steps"] < 1:
-        raise UsageError(f"theta_steps must be at least 1, got {params['theta_steps']}")
+    _require_int("theta_steps", params["theta_steps"], 1)
     thetas = np.linspace(-1.0, 1.0, params["theta_steps"])
     points = toy_disk(thetas, c=params["c"], samples=params["samples"], seed=params["seed"])
     _write_csv(params["out"], TOY_HEADER, points, _footer_lines("toy", params))

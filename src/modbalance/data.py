@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Population, _require_integers, _stream
+from .model import Population, _require_int, _require_seed, _stream
 
 __all__ = ["MixtureSpec", "DatasetFormatError", "generate", "save", "load"]
 
@@ -56,17 +56,15 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, "d", "n", "k", "seed")
-        if self.d < 1 or self.n < 1 or self.k < 1:
-            raise ValueError("d, n and k must be positive")
+        for name in ("d", "n", "k"):
+            _require_int(name, getattr(self, name), 1)
+        _require_seed(self.seed)
         if self.n % self.k != 0:
             raise ValueError(f"k = {self.k} must divide n = {self.n}")
         if not 0 < self.sigma_lo <= self.sigma_hi:
             raise ValueError("need 0 < sigma_lo <= sigma_hi")
         if not 0 < self.c_lo <= self.c_hi:
             raise ValueError("need 0 < c_lo <= c_hi")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 def generate(spec: MixtureSpec) -> Population:
@@ -107,19 +105,19 @@ def _parse_meta(line: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _parse_rows(rows: list[tuple[int, str]], d: int) -> np.ndarray:
+def _parse_rows(rows: list[tuple[int, str]], d: int, separators: bool) -> np.ndarray:
     """The (line number, text) data rows as an (n, d + 1) float table.
 
     One ``np.loadtxt`` call parses a well-formed table to the bits ``float``
     gives. If it fails, the rows are parsed one at a time by ``float``, which
     accepts a few more spellings (``1_0``) and names the line of the first bad
-    row. loadtxt also skips the unit separator \\x1f around a number, which
-    ``float`` rejects, so rows holding one go the per-row way too.
+    row. loadtxt also skips the separators \\x1c-\\x1f around a number, which
+    ``float`` rejects, so a file holding one (``separators``) goes the per-row
+    way too.
     """
-    lines = [line for _, line in rows]
-    if not any("\x1f" in line for line in lines):
+    if not separators:
         try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt([line for _, line in rows], delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
@@ -140,7 +138,8 @@ def _parse_rows(rows: list[tuple[int, str]], d: int) -> np.ndarray:
 def load(path) -> Population:
     """Read a population back; inverse of :func:`save` to full precision."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+        text = fh.read()
+    raw_lines = text.split("\n")  # not splitlines: float accepts \f, \x85 and others
 
     meta: dict[str, str] = {}
     header = None
@@ -198,7 +197,7 @@ def load(path) -> Population:
     if not rows:
         raise DatasetFormatError("empty population: header present but no data rows")
 
-    table = _parse_rows(rows, d)
+    table = _parse_rows(rows, d, any(sep in text for sep in "\x1c\x1d\x1e\x1f"))
     X, costs = table[:, :d], table[:, d]
     bad_x = ~np.isfinite(X).all(axis=1)
     bad = bad_x | ~(np.isfinite(costs) & (costs > 0))

@@ -57,25 +57,45 @@ def _as_vector(v, name: str) -> np.ndarray:
     return _read_only(arr.copy())
 
 
-def _require_integers(config, *names: str) -> None:
-    """Reject a config field that is a bool or not an integer type."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require_int(name: str, value, low: int | None = None) -> None:
+    """Reject a bool or non-integer ``value``, or one below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _require_seed(seed) -> None:
+    """Reject anything but an integer in [0, 2**64), the Philox key range."""
+    _require_int("seed", seed)
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed}")
+
+
+def _require_lambda(lam) -> None:
+    """Reject a penalty strength that is negative or not finite."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Reject a real that is not positive or not finite."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _stream(seed: int, stream: int) -> Generator:
-    """The Philox generator keyed (seed mod 2**64, stream), the package's one
-    source of randomness. Key map: data ingredients (seed, 0-3) for centers,
-    sigmas, points and costs; PGD restart r (seed, r); toy sample (seed, 0).
+    """The Philox generator keyed (seed, stream), the package's one source of
+    randomness; every seed is checked by ``_require_seed`` before it gets
+    here. Key map: data ingredients (seed, 0-3) for centers, sigmas, points
+    and costs; PGD restart r (seed, r); toy sample (seed, 0).
 
     The solver's keys share the data's key space: ``sweep`` passes one number
     as data seed and solver seed, and ``derive_seed(s, 0) = s``, so at its
     first lambda restarts 1-3 draw from the data's sigma, point and cost keys.
     The keys stay as they are: changing them would move every sweep output.
     """
-    return Generator(Philox(key=[int(seed) % 2**64, stream]))
+    return Generator(Philox(key=[int(seed), stream]))
 
 
 @dataclass(frozen=True, eq=False)

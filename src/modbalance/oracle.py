@@ -19,12 +19,11 @@ refining the search can only improve the reported optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .metrics import halfspace_scores
-from .model import Population, Trend, _require_integers, _stream
+from .model import Population, Trend, _require_int, _require_lambda, _require_seed, _stream
 from .solver import SolveResult, _exact_result
 
 __all__ = [
@@ -62,11 +61,9 @@ class OracleConfig:
     use_candidates: bool = True
 
     def __post_init__(self):
-        _require_integers(self, "angle_steps", "offset_steps", "K")
-        if self.angle_steps < 8 or self.offset_steps < 8:
-            raise ValueError("angle_steps and offset_steps must be at least 8")
-        if self.K < 0:
-            raise ValueError("K must be nonnegative")
+        _require_int("angle_steps", self.angle_steps, 8)
+        _require_int("offset_steps", self.offset_steps, 8)
+        _require_int("K", self.K, 0)
 
 
 def _candidates(pop: Population, cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +129,7 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
     """Exact candidate-set minimizer of -mitigation + lam * squared hinges."""
     _require_plane(pop)
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    _require_lambda(lam)
     W, B = _candidates(pop, cfg)
     dm, penalty, _, _ = halfspace_scores(pop, W, B)
     best = int(np.argmin(-dm + lam * penalty))
@@ -156,11 +152,8 @@ def toy_disk(
         raise ValueError("theta values must lie in [-1, 1]")
     if not (c > 0 and np.isfinite(c)):
         raise ValueError(f"manipulation cost c must be positive, got {c}")
-    _require_integers(SimpleNamespace(samples=samples, seed=seed), "samples", "seed")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    _require_int("samples", samples, 1)
+    _require_seed(seed)
 
     rng = _stream(seed, 0)
     radius = np.sqrt(rng.uniform(size=samples))

@@ -46,7 +46,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import MetricReport, halfspace_scores
-from .model import LinearModerator, Population, _require_integers, _stream
+from .model import (LinearModerator, Population, _require_int, _require_lambda, _require_positive,
+                    _require_seed, _stream)
 
 __all__ = [
     "SolverConfig",
@@ -107,20 +108,12 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        for name in ("lam", "learning_rate", "tol_grad", "a_min"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        _require_integers(self, "max_iters", "restarts", "seed")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be at least 1")
-        if self.tol_grad <= 0 or self.a_min <= 0:
-            raise ValueError("tol_grad and a_min must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _require_lambda(self.lam)
+        for name in ("learning_rate", "tol_grad", "a_min"):
+            _require_positive(name, getattr(self, name))
+        for name in ("max_iters", "restarts"):
+            _require_int(name, getattr(self, name), 1)
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -131,11 +124,8 @@ class CalibrationTarget:
     delta: float = 1e-3
 
     def __post_init__(self):
-        _require_integers(self, "K")
-        if self.K < 0:
-            raise ValueError("K must be nonnegative")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _require_int("K", self.K, 0)
+        _require_positive("delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -489,8 +479,7 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
     value 0. |w| = 1, so |w_j| <= 1 still holds, and ``objective`` is
     -dm + lam * penalty of the returned record.
     """
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    _require_lambda(lam)
     if f.w.shape[0] != pop.d:
         raise ValueError(f"moderator dimension {f.w.shape[0]} != population d = {pop.d}")
     norm = float(np.linalg.norm(f.w))
@@ -531,17 +520,17 @@ def calibrate_lambda(
     caller then gets the smallest probed lambda whose solve met the cap. Its
     moderator meets the cap, but a smaller feasible lambda may have been
     skipped, and it may mitigate nothing (DM = 0 in that README case, at
-    lambda = 48.3251). Each solve uses a seed derived from (base seed, step
+    lambda = 48.3251). Each solve uses a seed derived from (base seed, solve
     index) for a reproducible trace. The interval shrinks from lambda_max to
     delta in ceil(log2(max/delta)) midpoint solves, plus the single
-    feasibility probe at the cap.
+    feasibility probe at the cap, for every delta: the loop halves the exact
+    bracket width rather than testing hi - lo, which stalls at adjacent floats.
     """
     if target.K > pop.n:
         raise ValueError(f"K = {target.K} exceeds population size {pop.n}")
 
-    def solve_at(lam: float, step_index: int) -> SolveResult:
-        sub = replace(cfg, lam=lam, seed=derive_seed(cfg.seed, step_index))
-        return pgd_solve(pop, sub)
+    def solve_at(lam: float, index: int) -> SolveResult:
+        return pgd_solve(pop, replace(cfg, lam=lam, seed=derive_seed(cfg.seed, index)))
 
     if target.K >= pop.n:
         # The cap is vacuous: no penalty needed at all.
@@ -554,32 +543,25 @@ def calibrate_lambda(
     if result_cap.violations > target.K:
         return CalibrationOutcome(cap, result_cap, False, solves)
 
-    best_lam, best_result = cap, result_cap
-    lo, hi = 0.0, cap
-    step_index = 1
-    while hi - lo > target.delta:
+    lo, hi, hi_result = 0.0, cap, result_cap
+    width = cap  # hi - lo in exact arithmetic: halving a normal float is exact
+    while width > target.delta:
+        width *= 0.5
         mid = 0.5 * (lo + hi)
-        result = solve_at(mid, step_index)
+        result = solve_at(mid, solves)
         solves += 1
-        step_index += 1
         if result.violations > target.K:
             lo = mid
         else:
-            hi = mid
-            if mid < best_lam:
-                best_lam, best_result = mid, result
-    return CalibrationOutcome(best_lam, best_result, True, solves)
+            hi, hi_result = mid, result
+    return CalibrationOutcome(hi, hi_result, True, solves)
 
 
 def sweep_lambda(pop: Population, lambdas, cfg: SolverConfig) -> list[SolveResult]:
     """Independent solve per lambda, returned in grid order; seeds offset
     deterministically by index."""
-    lambdas = [float(l) for l in lambdas]
-    if not lambdas:
+    configs = [replace(cfg, lam=float(lam), seed=derive_seed(cfg.seed, j))
+               for j, lam in enumerate(lambdas)]  # a bad lambda fails before any solve
+    if not configs:
         raise ValueError("lambdas must be nonempty")
-    if not all(np.isfinite(l) and l >= 0 for l in lambdas):
-        raise ValueError(f"lambdas must be nonnegative and finite, got {lambdas}")
-    return [
-        pgd_solve(pop, replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j)))
-        for j, lam in enumerate(lambdas)
-    ]
+    return [pgd_solve(pop, sub) for sub in configs]

@@ -99,6 +99,15 @@ class TestGenerate:
                     "--out", str(tmp_path / 'b.csv')]) == 0
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
+    def test_seed_past_philox_key_range_exits_two_without_output(self, tmp_path, capsys):
+        # 2**64 would otherwise key the streams of seed 0
+        out = tmp_path / "pop.csv"
+        assert run(["generate", "--seed", str(2**64), "--n", "20", "--k", "2",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"seed must be a nonnegative integer below 2**64, got {2**64}" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolve:
     def test_writes_result_and_moderator(self, tmp_path, small_pop):
@@ -239,6 +248,19 @@ class TestSweep:
         assert run(args) == 0
         assert len(data_rows(read(out))) == 3
 
+    def test_bad_dataset_seed_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # dataset 1's seed is 2**64: the job stops before dataset 0 is solved
+        def no_solve(*args):
+            raise AssertionError("sweep_lambda ran")
+
+        monkeypatch.setattr("modbalance.cli.sweep_lambda", no_solve)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--out", str(out), "--seed", str(2**64 - 1), "--seeds", "2",
+                    "--d", "2", "--n", "10", "--k", "2"]) == 2
+        assert f"seed must be a nonnegative integer below 2**64, got {2**64}" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_footer_reruns_the_job(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--out", str(out), "--seeds", "1", "--seed", "2",
@@ -328,6 +350,14 @@ class TestExitCodes:
 
     def test_missing_required(self):
         assert run(["generate"]) == 2
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x85", "\u2028"])
+    def test_config_lines_end_at_newline_only(self, tmp_path, capsys, brk):
+        # str.splitlines would also break at brk and misnumber the lines after it
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n = 10{brk}\nk = 2\nno equals sign\n", encoding="utf-8")
+        assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{cfg}:3: expected 'key = value'" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

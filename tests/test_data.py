@@ -133,14 +133,29 @@ class TestLoadErrors:
     @pytest.mark.parametrize(
         "row, message",
         [("0.0,1.0,2.0,3.0", "expected 3 fields, got 4"), ("0.0,1.0 # note,1.0", "bad float"),
-         ("0.0,1.0\x1f,1.0", "bad float")],
-        ids=["ragged", "mid_row_comment", "unit_separator"],
+         ("0.0,1.0\x1f,1.0", "bad float"), ("0.0,1.0\x1c,1.0", "bad float")],
+        ids=["ragged", "mid_row_comment", "unit_separator", "file_separator"],
     )
     def test_bad_row_among_good_reports_its_line(self, tmp_path, row, message):
         good = "0.0,0.0,1.0\n"
         text = "# d = 2\n# trend = 1,0\nx_0,x_1,c\n" + good * 2 + row + "\n" + good
         path = self._write(tmp_path, text)
         with pytest.raises(DatasetFormatError, match=f"line 6: {message}"):
+            load(path)
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newline_only(self, tmp_path, brk):
+        # float skips brk as whitespace, so it belongs to its row: the row
+        # loads with float's value and the rows after it keep their line numbers
+        head = "# d = 2\n# n = 3\n# trend = 1,0\nx_0,x_1,c\n"
+        path = tmp_path / "pop.csv"
+        path.write_text(head + f"0.5,{brk}1.0,1.0\n0.0,0.0,2.0{brk}\n1.0,1.0,1.0\n",
+                        encoding="utf-8")
+        pop = load(path)
+        assert pop.feature_matrix[0, 1] == float(f"{brk}1.0") and pop.costs[1] == 2.0
+        path.write_text(head + f"0.0,0.0,1.0{brk}\n0.0,0.0,1.0\n0.0,oops,1.0\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="line 7: bad float"):
             load(path)
 
     def test_missing_trend(self, tmp_path):

@@ -601,6 +601,31 @@ class TestCalibrate:
         if out.feasible:
             assert hinge_violations(pop, out.result.moderator) <= 3
 
+    def test_bisection_stops_below_float_spacing(self, monkeypatch):
+        # at delta = 1e-16 the bracket's ends become adjacent floats long
+        # before their difference reaches delta; the halving count still holds
+        import modbalance.solver as solver_mod
+
+        calls = []
+        solve = solver_mod.pgd_solve
+
+        def counted(pop, cfg):
+            if len(calls) == 200:
+                raise RuntimeError("the bisection did not stop")
+            result = solve(pop, cfg)
+            calls.append((cfg.lam, result.violations))
+            return result
+
+        monkeypatch.setattr(solver_mod, "pgd_solve", counted)
+        pop = generate(MixtureSpec(d=2, n=40, k=4, seed=7))
+        delta = 1e-16
+        out = calibrate_lambda(pop, CalibrationTarget(K=5, delta=delta),
+                               SolverConfig(restarts=1, max_iters=30))
+        assert out.feasible
+        assert out.solve_count == len(calls) == 58
+        assert out.solve_count == int(np.ceil(np.log2(lambda_max(pop) / delta))) + 1
+        assert out.lam == min(lam for lam, violations in calls if violations <= 5)
+
     def test_cap_exceeding_population_rejected(self):
         pop = generate(MixtureSpec(d=2, n=10, k=2, seed=0))
         with pytest.raises(ValueError):
@@ -727,12 +752,56 @@ class TestConfigValidation:
     (lambda v: MixtureSpec(n=v), 500.0),
     (lambda v: MixtureSpec(k=v), np.True_),
     (lambda v: MixtureSpec(seed=v), 1.5),
+    (lambda v: toy_disk([0.0], samples=v), 10.5),
+    (lambda v: toy_disk([0.0], samples=10, seed=v), True),
 ], ids=["max_iters", "restarts", "seed", "seed_bool", "calibration_K", "angle_steps",
-        "offset_steps", "oracle_K", "mixture_d", "mixture_n", "mixture_k", "mixture_seed"])
+        "offset_steps", "oracle_K", "mixture_d", "mixture_n", "mixture_k", "mixture_seed",
+        "toy_samples", "toy_seed"])
 def test_integer_fields_reject_other_types(make, value):
     with pytest.raises(ValueError, match="must be an integer"):
         make(value)
     make(np.int64(10))  # numpy integers are integers
+
+
+@pytest.mark.parametrize("make, field, low, value", [
+    (lambda v: MixtureSpec(d=v), "d", 1, 0),
+    (lambda v: MixtureSpec(k=v), "k", 1, -2),
+    (lambda v: SolverConfig(max_iters=v), "max_iters", 1, 0),
+    (lambda v: SolverConfig(restarts=v), "restarts", 1, 0),
+    (lambda v: CalibrationTarget(K=v), "K", 0, -1),
+    (lambda v: OracleConfig(angle_steps=v), "angle_steps", 8, 7),
+    (lambda v: OracleConfig(offset_steps=v), "offset_steps", 8, 4),
+    (lambda v: OracleConfig(K=v), "K", 0, -1),
+    (lambda v: toy_disk([0.0], samples=v), "samples", 1, 0),
+], ids=["mixture_d", "mixture_k", "max_iters", "restarts", "calibration_K", "angle_steps",
+        "offset_steps", "oracle_K", "toy_samples"])
+def test_counts_below_their_floor_name_field_floor_and_value(make, field, low, value):
+    with pytest.raises(ValueError, match=f"^{field} must be at least {low}, got {value}$"):
+        make(value)
+
+
+_SEEDED = {
+    "mixture": lambda seed: MixtureSpec(d=2, n=4, k=2, seed=seed),
+    "solver": lambda seed: SolverConfig(seed=seed),
+    "toy_disk": lambda seed: toy_disk([0.0], samples=10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 3, -1, np.int64(-1)],
+                         ids=["2**64", "2**64+3", "-1", "int64(-1)"])
+def test_seeds_outside_the_philox_key_range_are_rejected(name, seed):
+    # Philox keys are 64-bit: a larger seed would alias seed mod 2**64
+    with pytest.raises(ValueError, match=r"seed must be a nonnegative integer below 2\*\*64"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_largest_seed_is_accepted(name):
+    # accepted; numpy's Philox reads a key list holding a value above
+    # 2**63 - 1 through float64, so its stream is still not its own
+    _SEEDED[name](2**64 - 1)
+    _SEEDED[name](np.uint64(2**64 - 1))
 
 
 def test_numpy_integer_seeds_draw_the_streams_of_the_equal_int():
