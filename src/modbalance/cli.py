@@ -5,7 +5,9 @@ parameter can come from a flat ``key = value`` config file (``--config``),
 with explicit flags winning. Each output CSV ends with a reproducibility
 footer: ``#``-prefixed ``key = value`` lines holding every resolved
 parameter, so stripping the ``# `` prefix yields a config file that re-runs
-the job bit for bit.
+the job bit for bit. ``solve``, ``calibrate``, ``sweep`` and ``oracle`` write
+one row per solve record: the job's key columns, the record's scores and
+counts, then its moderator ``w_0,...,w_{d-1},b``.
 
 Exit codes: 0 success, 2 usage/validation error, 3 infeasible calibration.
 """
@@ -35,12 +37,17 @@ from .svgplot import Series, render_plot
 
 __all__ = ["run", "main"]
 
-# a solve's columns from dm on, in ``_result_fields`` order
-_RESULT_COLUMNS = "dm,fos_desired,fos_retained,filtered_count,objective,iterations,converged"
-SOLVE_HEADER = "lambda," + _RESULT_COLUMNS
-CALIBRATE_HEADER = "lambda,feasible,violations,solve_count," + _RESULT_COLUMNS
-SWEEP_HEADER = "lambda,seed," + _RESULT_COLUMNS
-ORACLE_HEADER = "mode,lambda,k_max,dm,violations,penalty,objective,w_0,w_1,b,candidates"
+# a solve record's columns ahead of its moderator's, in ``_result_fields`` order
+_RECORD_COLUMNS = ("dm,fos_desired,fos_retained,filtered_count,objective,iterations,"
+                   "converged,violations,penalty")
+# each job's key columns, ahead of its records' columns
+_LAMBDA = "lambda"
+_KEY_COLUMNS = {
+    "solve": (_LAMBDA,),
+    "calibrate": (_LAMBDA, "feasible", "solve_count"),
+    "sweep": (_LAMBDA, "seed"),
+    "oracle": ("mode", _LAMBDA, "k_max"),
+}
 TOY_HEADER = "theta,dm,fos"
 
 _DEFAULT_LAMBDAS = [float(v) for v in np.logspace(-1.0, 2.0, 7)]
@@ -70,7 +77,6 @@ _SCHEMAS = {
     "solve": {
         "data": ("str", None),
         "out": ("str", None),
-        "moderator_out": ("str", ""),
         "lam": ("float", SolverConfig.lam),
         "seed": ("int", SolverConfig.seed),
         **_SOLVER,
@@ -140,14 +146,8 @@ def _boolean(raw: str) -> bool:
 _PARSERS = {"int": int, "float": float, "floats": _float_list, "bool": _boolean, "str": str}
 
 
-def _parse_value(kind: str, raw: str, key: str):
-    try:
-        return _PARSERS[kind](raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {exc}") from None
-
-
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str) -> dict[str, tuple[str, int]]:
+    """The file's ``key -> (value, line number)`` entries."""
     entries = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -161,7 +161,11 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in body:
             raise UsageError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
         key, _, value = body.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise UsageError(f"{path}:{line_no}: duplicate key {key!r} "
+                             f"(first on line {entries[key][1]})")
+        entries[key] = (value.strip(), line_no)
     return entries
 
 
@@ -169,10 +173,14 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     schema = _SCHEMAS[command]
     resolved = {k: default for k, (_, default) in schema.items()}
     if args.config:
-        for key, raw in _read_config(args.config).items():
+        for key, (raw, line_no) in _read_config(args.config).items():
+            where = f"{args.config}:{line_no}"
             if key not in schema:
-                raise UsageError(f"unknown config key for {command}: {key}")
-            resolved[key] = _parse_value(schema[key][0], raw, key)
+                raise UsageError(f"{where}: unknown config key for {command}: {key}")
+            try:
+                resolved[key] = _PARSERS[schema[key][0]](raw)
+            except ValueError as exc:
+                raise UsageError(f"{where}: bad value for {key}: {exc}") from None
     for key in schema:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -203,9 +211,15 @@ def _solver_config(params: dict, lam: float, seed: int) -> SolverConfig:
     return SolverConfig(**{key: params[key] for key in _SOLVER}, lam=lam, seed=seed)
 
 
+def _result_header(command: str, d: int) -> str:
+    """A job's header: its key columns, then the columns of ``_result_fields``."""
+    weights = [f"w_{j}" for j in range(d)]
+    return ",".join([*_KEY_COLUMNS[command], _RECORD_COLUMNS, *weights, "b"])
+
+
 def _result_fields(result) -> tuple:
-    """A solve's columns from dm on, in ``_RESULT_COLUMNS`` order."""
-    m = result.metrics
+    """A solve record's columns: ``_RECORD_COLUMNS``, then its moderator's."""
+    m, f = result.metrics, result.moderator
     return (
         result.dm,
         m.fos_desired,
@@ -214,6 +228,10 @@ def _result_fields(result) -> tuple:
         result.objective,
         result.iterations_used,
         result.converged,
+        result.violations,
+        result.penalty,
+        *(float(v) for v in f.w),
+        float(f.b),
     )
 
 
@@ -225,41 +243,26 @@ def _cmd_generate(params: dict) -> int:
     return 0
 
 
-def _write_moderator(path: str, moderator, footer: list[str]) -> None:
-    d = moderator.w.shape[0]
-    header = ",".join([f"w_{j}" for j in range(d)] + ["b"])
-    row = tuple(float(v) for v in moderator.w) + (float(moderator.b),)
-    _write_csv(path, header, [row], footer)
+def _write_results(command: str, params: dict, d: int, rows: list[tuple]) -> None:
+    """Write a job's rows, each its key values then ``_result_fields``."""
+    _write_csv(params["out"], _result_header(command, d), rows, _footer_lines(command, params))
 
 
 def _cmd_solve(params: dict) -> int:
-    out = params["out"]
-    moderator_out = _check_outputs(
-        params, params["moderator_out"] or os.path.splitext(out)[0] + ".moderator.csv"
-    )
     pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=params["lam"], seed=params["seed"])
     result = pgd_solve(pop, cfg)
-    footer = _footer_lines("solve", params)
-    _write_csv(out, SOLVE_HEADER, [(params["lam"], *_result_fields(result))], footer)
-    _write_moderator(moderator_out, result.moderator, footer)
+    _write_results("solve", params, pop.d, [(params["lam"], *_result_fields(result))])
     return 0
 
 
 def _cmd_calibrate(params: dict) -> int:
-    _check_outputs(params)
     pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=0.0, seed=params["seed"])
     target = CalibrationTarget(K=params["max_violations"], delta=params["delta"])
     outcome = calibrate_lambda(pop, target, cfg)
-    row = (
-        outcome.lam,
-        outcome.feasible,
-        outcome.result.violations,
-        outcome.solve_count,
-        *_result_fields(outcome.result),
-    )
-    _write_csv(params["out"], CALIBRATE_HEADER, [row], _footer_lines("calibrate", params))
+    row = (outcome.lam, outcome.feasible, outcome.solve_count, *_result_fields(outcome.result))
+    _write_results("calibrate", params, pop.d, [row])
     return 0 if outcome.feasible else 3
 
 
@@ -271,26 +274,29 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _check_outputs(params: dict, second: str | None = None) -> str | None:
-    """Refuse a job, before it reads or runs anything, whose second output
-    would overwrite ``out`` or whose output would overwrite ``data``;
-    returns ``second``."""
-    out, data = params["out"], params.get("data")
-    if second is not None and _same_file(second, out):
-        raise UsageError(f"second output {second} would overwrite --out {out}")
-    if data is not None:
-        for path in (out, second):
-            if path is not None and _same_file(path, data):
-                raise UsageError(f"output {path} would overwrite --data {data}")
-    return second
+def _plot_path(params: dict) -> str | None:
+    """``sweep --plot``'s SVG: ``out`` with its extension replaced by .svg."""
+    return os.path.splitext(params["out"])[0] + ".svg" if params.get("plot") else None
+
+
+def _check_outputs(params: dict, config: str | None) -> None:
+    """Refuse a job, before it reads or writes anything, whose plot would
+    overwrite ``out`` or whose output would overwrite ``--data`` or
+    ``--config``."""
+    out, plot = params["out"], _plot_path(params)
+    if plot is not None and _same_file(plot, out):
+        raise UsageError(f"second output {plot} would overwrite --out {out}")
+    for flag, source in (("--data", params.get("data")), ("--config", config)):
+        for path in (out, plot):
+            if None not in (path, source) and _same_file(path, source):
+                raise UsageError(f"output {path} would overwrite {flag} {source}")
 
 
 def _cmd_sweep(params: dict) -> int:
     _require_int("seeds", params["seeds"], 1)
     lambdas = params["lambdas"]
-    plot_out = None
-    if params["plot"]:
-        plot_out = _check_outputs(params, os.path.splitext(params["out"])[0] + ".svg")
+    plot_out = _plot_path(params)
+    if plot_out:
         bad = [lam for lam in lambdas if not lam > 0]
         if bad:
             raise UsageError(f"--plot draws lambda on a log axis, so every lambda must "
@@ -302,7 +308,7 @@ def _cmd_sweep(params: dict) -> int:
     for s, spec, cfg in jobs:
         results = sweep_lambda(data_mod.generate(spec), lambdas, cfg)
         rows.extend((lam, s, *_result_fields(r)) for lam, r in zip(lambdas, results))
-    _write_csv(params["out"], SWEEP_HEADER, rows, _footer_lines("sweep", params))
+    _write_results("sweep", params, params["d"], rows)
     if plot_out:
         _write_sweep_plot(plot_out, lambdas, rows)
     return 0
@@ -331,7 +337,6 @@ def _write_sweep_plot(path: str, lambdas: list[float], rows: list[tuple]) -> Non
 
 
 def _cmd_oracle(params: dict) -> int:
-    _check_outputs(params)
     mode = params["mode"]
     if mode not in ("constrained", "penalized"):
         raise UsageError(f"mode must be 'constrained' or 'penalized', got {mode!r}")
@@ -343,20 +348,8 @@ def _cmd_oracle(params: dict) -> int:
         result = oracle_penalized_2d(pop, params["lam"], cfg)
     else:
         result = oracle_2d(pop, cfg)
-    row = (
-        mode,
-        params["lam"],
-        params["max_violations"],
-        result.dm,
-        result.violations,
-        result.penalty,
-        result.objective,
-        float(result.moderator.w[0]),
-        float(result.moderator.w[1]),
-        float(result.moderator.b),
-        result.iterations_used,
-    )
-    _write_csv(params["out"], ORACLE_HEADER, [row], _footer_lines("oracle", params))
+    row = (mode, params["lam"], params["max_violations"], *_result_fields(result))
+    _write_results("oracle", params, pop.d, [row])
     return 0
 
 
@@ -378,17 +371,16 @@ _COMMANDS = {
     "toy": (_cmd_toy, "unit-disk trade-off curve"),
 }
 
-_EPILOG = f"""\
-output CSV schemas (all files end with a '# key = value' reproducibility
-footer; stripping the '# ' prefix yields a config file that re-runs the job):
-  generate   dataset: '# d/n/trend' metadata, header x_0,...,x_{{d-1}},c
-  solve      {SOLVE_HEADER}
-             plus a moderator file: w_0,...,w_{{d-1}},b
-  calibrate  {CALIBRATE_HEADER}
-  sweep      {SWEEP_HEADER}
-  oracle     {ORACLE_HEADER}
-  toy        {TOY_HEADER}
-"""
+_EPILOG = (
+    "output CSV schemas (all files end with a '# key = value' reproducibility\n"
+    "footer; stripping the '# ' prefix yields a config file that re-runs the job):\n"
+    "  generate   dataset: '# d/n/trend' metadata, header x_0,...,x_{d-1},c\n"
+    + "".join(f"  {command:<10} {','.join(keys)},<record>\n"
+              for command, keys in _KEY_COLUMNS.items())
+    + f"  toy        {TOY_HEADER}\n"
+    "where <record> is one solve record: its scores and counts, then its moderator\n"
+    f"  {_RECORD_COLUMNS},w_0,...,w_{{d-1}},b\n"
+)
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
@@ -430,6 +422,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         params = _resolve(args.command, args)
+        _check_outputs(params, args.config)
         return _COMMANDS[args.command][0](params)
     except NoFeasibleCandidateError as exc:
         print(

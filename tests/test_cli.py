@@ -1,13 +1,24 @@
 """End-to-end CLI runs: files, footers, determinism, exit codes."""
 
+import csv
 import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from modbalance import CalibrationTarget, MixtureSpec, OracleConfig, SolverConfig, toy_disk
-from modbalance.cli import _SCHEMAS, SWEEP_HEADER, run
+from modbalance import (
+    CalibrationTarget,
+    MixtureSpec,
+    OracleConfig,
+    SolverConfig,
+    calibrate_lambda,
+    generate,
+    halfspace_scores,
+    load,
+    toy_disk,
+)
+from modbalance.cli import _SCHEMAS, _result_header, run
 
 
 def read(path):
@@ -17,6 +28,17 @@ def read(path):
 
 def data_rows(text):
     return [l for l in text.splitlines() if l and not l.startswith("#")]
+
+
+def result_rows(path):
+    """A result CSV's rows as dicts keyed by its header."""
+    return list(csv.DictReader(data_rows(read(path))))
+
+
+def row_moderator(row):
+    """The moderator columns w_0, ..., w_{d-1}, b of a result row."""
+    d = sum(1 for key in row if key.startswith("w_"))
+    return np.array([float(row[f"w_{j}"]) for j in range(d)]), float(row["b"])
 
 
 def footer_config(text):
@@ -110,7 +132,7 @@ class TestGenerate:
 
 
 class TestSolve:
-    def test_writes_result_and_moderator(self, tmp_path, small_pop):
+    def test_writes_result_and_moderator(self, tmp_path, small_pop, capsys):
         out = tmp_path / "fit.csv"
         rc = run(["solve", "--data", str(small_pop), "--out", str(out),
                   "--lambda", "1.0", "--restarts", "2", "--max-iters", "200"])
@@ -118,10 +140,13 @@ class TestSolve:
         text = read(out)
         rows = data_rows(text)
         assert rows[0].startswith("lambda,dm,fos_desired")
+        assert rows[0].endswith("violations,penalty,w_0,w_1,b")
         assert len(rows) == 2
-        mod_text = read(tmp_path / "fit.moderator.csv")
-        assert data_rows(mod_text)[0] == "w_0,w_1,b"
         assert "# lam = 1" in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.csv", "pop.csv"]
+        assert run(["solve", "--data", str(small_pop), "--out", str(out),
+                    "--moderator-out", str(tmp_path / "m.csv")]) == 2
+        assert "unrecognized arguments: --moderator-out" in capsys.readouterr().err
 
     def test_rerun_is_bitwise_identical(self, tmp_path, small_pop):
         out = tmp_path / "fit.csv"
@@ -137,34 +162,14 @@ class TestSolve:
         assert run(["solve", "--data", str(small_pop), "--out", str(out),
                     "--lambda", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
-        assert not out.exists()
-        assert not (tmp_path / "fit.moderator.csv").exists()
-
-    def test_moderator_out_equal_to_out_exits_two_without_output(
-        self, tmp_path, small_pop, capsys
-    ):
-        out = tmp_path / "fit.csv"
-        assert run(["solve", "--data", str(small_pop), "--out", str(out),
-                    "--moderator-out", str(out), "--restarts", "1", "--max-iters", "5"]) == 2
-        assert "would overwrite --out" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["pop.csv"]
-
-    def test_derived_moderator_path_equal_to_data_exits_two(self, tmp_path, small_pop, capsys):
-        data = tmp_path / "fit.moderator.csv"
-        small_pop.rename(data)
-        before = data.read_bytes()
-        assert run(["solve", "--data", str(data), "--out", str(tmp_path / "fit.csv"),
-                    "--restarts", "1", "--max-iters", "5"]) == 2
-        assert "would overwrite --data" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == [data.name]
-        assert data.read_bytes() == before
 
     def test_footer_reruns_the_job(self, tmp_path, small_pop):
         out = tmp_path / "fit.csv"
         assert run(["solve", "--data", str(small_pop), "--out", str(out),
                     "--lambda", "2.5", "--restarts", "2", "--max-iters", "120",
                     "--seed", "4"]) == 0
-        assert_footer_reruns(tmp_path, "solve", 0, out, tmp_path / "fit.moderator.csv")
+        assert_footer_reruns(tmp_path, "solve", 0, out)
 
 
 class TestCalibrate:
@@ -186,6 +191,19 @@ class TestCalibrate:
         assert ",false," in data_rows(read(out))[1]
 
 
+    def test_row_moderator_is_the_calibrated_one(self, tmp_path, small_pop):
+        out = tmp_path / "cal.csv"
+        assert run(["calibrate", "--data", str(small_pop), "--out", str(out),
+                    "--max-violations", "15", "--restarts", "2", "--max-iters", "150",
+                    "--delta", "0.5"]) == 0
+        outcome = calibrate_lambda(load(str(small_pop)), CalibrationTarget(K=15, delta=0.5),
+                                   SolverConfig(restarts=2, max_iters=150))
+        (row,) = result_rows(out)
+        w, b = row_moderator(row)
+        assert w.tobytes() == outcome.result.moderator.w.tobytes()
+        assert np.float64(b).tobytes() == np.float64(outcome.result.moderator.b).tobytes()
+        assert float(row["lambda"]) == outcome.lam
+
     @pytest.mark.parametrize("cap, rc", [(15, 0), (10, 3)], ids=["feasible", "infeasible"])
     def test_footer_reruns_the_job(self, tmp_path, small_pop, cap, rc):
         out = tmp_path / "cal.csv"
@@ -203,7 +221,7 @@ class TestSweep:
                   "--restarts", "2", "--max-iters", "150"])
         assert rc == 0
         rows = data_rows(read(out))
-        assert rows[0] == SWEEP_HEADER
+        assert rows[0] == _result_header("sweep", 2)
         assert len(rows) == 1 + 2 * 2
         seeds = {r.split(",")[1] for r in rows[1:]}
         assert seeds == {"0", "1"}
@@ -310,6 +328,38 @@ class TestOracleCommand:
         assert "'bogus'" in err and "missing.csv" not in err
 
 
+class TestResultRows:
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--lambda", "2.0", "--restarts", "2", "--max-iters", "150"]),
+        ("calibrate", ["--max-violations", "15", "--restarts", "2", "--max-iters", "150",
+                       "--delta", "0.5"]),
+        ("sweep", ["--seeds", "2", "--seed", "3", "--lambdas", "0.5,5.0", "--d", "2",
+                   "--n", "30", "--k", "3", "--restarts", "2", "--max-iters", "150"]),
+        ("oracle", ["--max-violations", "4", "--angle-steps", "16", "--offset-steps", "16"]),
+        ("oracle", ["--mode", "penalized", "--lambda", "0.3", "--angle-steps", "16",
+                    "--offset-steps", "16"]),
+    ], ids=["solve", "calibrate", "sweep", "oracle_constrained", "oracle_penalized"])
+    def test_row_moderator_rescores_to_the_row(self, tmp_path, small_pop, command, flags):
+        # 17 significant digits round-trip a float64, so the printed moderator
+        # is the record's moderator and scores to the record's figures exactly
+        out = tmp_path / "result.csv"
+        data = [] if command == "sweep" else ["--data", str(small_pop)]
+        assert run([command, *data, "--out", str(out), *flags]) == 0
+        rows = result_rows(out)
+        assert list(rows[0])[-3:] == ["w_0", "w_1", "b"]
+        for row in rows:
+            if command == "sweep":
+                pop = generate(MixtureSpec(d=2, n=30, k=3, seed=int(row["seed"])))
+            else:
+                pop = load(str(small_pop))
+            w, b = row_moderator(row)
+            dm, penalty, violations, filtered = halfspace_scores(pop, w[None, :], np.array([b]))
+            assert float(row["dm"]) == dm[0]
+            assert float(row["penalty"]) == penalty[0]
+            assert int(row["violations"]) == violations[0]
+            assert int(row["filtered_count"]) == filtered[0]
+
+
 class TestToy:
     def test_csv_shape_and_monotone_speech(self, tmp_path):
         out = tmp_path / "toy.csv"
@@ -365,6 +415,19 @@ class TestExitCodes:
         assert run(["generate", "--config", str(cfg), "--out",
                     str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("generate", "n = 10\nfoo = 1\n", "2: unknown config key for generate: foo"),
+        ("solve", "data = pop.csv\nout = r.csv\nlam = abc\n",
+         "3: bad value for lam: could not convert string to float: 'abc'"),
+        ("solve", "lam = 1\nseed = 2\nlam = 5\n", "3: duplicate key 'lam' (first on line 1)"),
+    ], ids=["unknown_key", "bad_value", "duplicate_key"])
+    def test_config_errors_name_file_and_line(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(text)
+        assert run([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
     def test_missing_data_file(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "r.csv")]) == 2
@@ -385,19 +448,35 @@ class TestExitCodes:
         assert run(["sweep", "--out", str(tmp_path / "s.csv"),
                     "--lambdas", ""]) == 2
 
-    @pytest.mark.parametrize("command, flags", [
-        ("solve", ["--restarts", "1", "--max-iters", "5"]),
-        ("calibrate", ["--max-violations", "5", "--restarts", "1", "--max-iters", "5"]),
-        ("oracle", ["--angle-steps", "8", "--offset-steps", "8"]),
-    ], ids=["solve", "calibrate", "oracle"])
+    @pytest.mark.parametrize("command, flags, source", [
+        ("solve", ["--restarts", "1", "--max-iters", "5"], "data"),
+        ("calibrate", ["--max-violations", "5", "--restarts", "1", "--max-iters", "5"], "data"),
+        ("oracle", ["--angle-steps", "8", "--offset-steps", "8"], "data"),
+        ("solve", ["--restarts", "1", "--max-iters", "5"], "config"),
+        ("calibrate", ["--max-violations", "5", "--restarts", "1", "--max-iters", "5"],
+         "config"),
+        ("oracle", ["--angle-steps", "8", "--offset-steps", "8"], "config"),
+        ("generate", ["--n", "20", "--k", "2"], "config"),
+        ("toy", ["--samples", "100"], "config"),
+        ("sweep", ["--plot", "--seeds", "1", "--lambdas", "1.0", "--d", "2", "--n", "10",
+                   "--k", "2", "--restarts", "1", "--max-iters", "5"], "config"),
+    ], ids=["solve", "calibrate", "oracle", "solve_config", "calibrate_config",
+            "oracle_config", "generate_config", "toy_config", "sweep_plot_config"])
     def test_out_equal_to_data_exits_two_and_keeps_the_input(
-        self, tmp_path, small_pop, capsys, command, flags
+        self, tmp_path, small_pop, capsys, command, flags, source
     ):
-        before = small_pop.read_bytes()
-        assert run([command, "--data", str(small_pop), "--out", str(small_pop), *flags]) == 2
-        assert f"output {small_pop} would overwrite --data" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == [small_pop.name]
-        assert small_pop.read_bytes() == before
+        # the sweep case's config file sits where its plot would go
+        data = ["--data", str(small_pop)] if command in ("solve", "calibrate", "oracle") else []
+        if source == "data":
+            target, args = small_pop, ["--out", str(small_pop)]
+        else:
+            target = tmp_path / ("job.svg" if command == "sweep" else "job.cfg")
+            target.write_text(f"out = {tmp_path / 'job.csv' if command == 'sweep' else target}\n")
+            args = ["--config", str(target)]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run([command, *data, *args, *flags]) == 2
+        assert f"output {target} would overwrite --{source} {target}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
     def test_out_linked_to_data_exits_two_and_keeps_the_input(self, tmp_path, small_pop, link):
@@ -407,6 +486,15 @@ class TestExitCodes:
         assert run(["solve", "--data", str(small_pop), "--out", str(link_path),
                     "--restarts", "1", "--max-iters", "5"]) == 2
         assert small_pop.read_bytes() == before
+
+    @pytest.mark.parametrize("link", ["symlink_to", "hardlink_to"])
+    def test_out_linked_to_config_exits_two_and_keeps_the_input(self, tmp_path, link):
+        cfg, link_path = tmp_path / "job.cfg", tmp_path / "link.csv"
+        cfg.write_text(f"out = {link_path}\nsamples = 100\n")
+        getattr(link_path, link)(cfg)
+        before = cfg.read_bytes()
+        assert run(["toy", "--config", str(cfg)]) == 2
+        assert cfg.read_bytes() == before
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
