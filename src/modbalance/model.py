@@ -94,8 +94,11 @@ def _stream(seed: int, stream: int) -> Generator:
     as data seed and solver seed, and ``derive_seed(s, 0) = s``, so at its
     first lambda restarts 1-3 draw from the data's sigma, point and cost keys.
     The keys stay as they are: changing them would move every sweep output.
+
+    The key is a uint64 array: numpy reads a key list holding a value above
+    2**63 - 1 through float64, which would alias such seeds.
     """
-    return Generator(Philox(key=[int(seed), stream]))
+    return Generator(Philox(key=np.array([int(seed), stream], dtype=np.uint64)))
 
 
 @dataclass(frozen=True, eq=False)

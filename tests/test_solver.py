@@ -1,5 +1,6 @@
 """Surrogate loss analytics, PGD behavior, calibration, sweeps."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from modbalance import (
     sweep_lambda,
     toy_disk,
 )
+from modbalance.model import _stream
 from modbalance.solver import (
     _branch_terms,
     _exact_offsets,
@@ -798,10 +800,24 @@ def test_seeds_outside_the_philox_key_range_are_rejected(name, seed):
 
 @pytest.mark.parametrize("name", sorted(_SEEDED))
 def test_largest_seed_is_accepted(name):
-    # accepted; numpy's Philox reads a key list holding a value above
-    # 2**63 - 1 through float64, so its stream is still not its own
     _SEEDED[name](2**64 - 1)
     _SEEDED[name](np.uint64(2**64 - 1))
+
+
+# numpy reads a Philox key list holding a value above 2**63 - 1 through
+# float64, so the keys are uint64 arrays: the seeds below stay distinct
+def test_seeds_above_int64_draw_their_own_streams():
+    assert _stream(2**63, 0).random() != _stream(2**63 + 1, 0).random()
+
+
+def test_largest_seed_is_not_seed_zero():
+    assert generate(MixtureSpec(seed=2**64 - 1)) != generate(MixtureSpec(seed=0))
+
+
+def test_largest_seed_keys_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate(MixtureSpec(d=2, n=4, k=2, seed=2**64 - 1))
 
 
 def test_numpy_integer_seeds_draw_the_streams_of_the_equal_int():
