@@ -235,17 +235,17 @@ def _result_fields(result) -> tuple:
     )
 
 
+def _write_results(command: str, params: dict, d: int, rows: list[tuple]) -> None:
+    """Write a job's rows, each its key values then ``_result_fields``."""
+    _write_csv(params["out"], _result_header(command, d), rows, _footer_lines(command, params))
+
+
 def _cmd_generate(params: dict) -> int:
     pop = data_mod.generate(_mixture_spec(params, params["seed"]))
     data_mod.save(pop, params["out"])
     with open(params["out"], "a", encoding="utf-8") as fh:
         fh.write("\n".join(_footer_lines("generate", params)) + "\n")
     return 0
-
-
-def _write_results(command: str, params: dict, d: int, rows: list[tuple]) -> None:
-    """Write a job's rows, each its key values then ``_result_fields``."""
-    _write_csv(params["out"], _result_header(command, d), rows, _footer_lines(command, params))
 
 
 def _cmd_solve(params: dict) -> int:

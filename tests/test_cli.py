@@ -190,7 +190,6 @@ class TestCalibrate:
         assert rc == 3
         assert ",false," in data_rows(read(out))[1]
 
-
     def test_row_moderator_is_the_calibrated_one(self, tmp_path, small_pop):
         out = tmp_path / "cal.csv"
         assert run(["calibrate", "--data", str(small_pop), "--out", str(out),
