@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import MixtureSpec
-from .model import _require_int
+from .model import SettingError, _require_int
 from .oracle import NoFeasibleCandidateError, OracleConfig, oracle_2d, oracle_penalized_2d, toy_disk
 from .solver import (
     CalibrationTarget,
@@ -169,26 +169,29 @@ def _read_config(path: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
+def _resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
+    """The job's parameters, and ``PATH:LINE`` of each one a config line set."""
     schema = _SCHEMAS[command]
     resolved = {k: default for k, (_, default) in schema.items()}
+    where = {}
     if args.config:
         for key, (raw, line_no) in _read_config(args.config).items():
-            where = f"{args.config}:{line_no}"
+            where[key] = f"{args.config}:{line_no}"
             if key not in schema:
-                raise UsageError(f"{where}: unknown config key for {command}: {key}")
+                raise UsageError(f"{where[key]}: unknown config key for {command}: {key}")
             try:
                 resolved[key] = _PARSERS[schema[key][0]](raw)
             except ValueError as exc:
-                raise UsageError(f"{where}: bad value for {key}: {exc}") from None
+                raise UsageError(f"{where[key]}: bad value for {key}: {exc}") from None
     for key in schema:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
+            where.pop(key, None)
     missing = [k for k, v in resolved.items() if v is None]
     if missing:
         raise UsageError(f"missing required parameters: {', '.join(sorted(missing))}")
-    return resolved
+    return resolved, where
 
 
 def _footer_lines(command: str, params: dict) -> list[str]:
@@ -249,17 +252,17 @@ def _cmd_generate(params: dict) -> int:
 
 
 def _cmd_solve(params: dict) -> int:
-    pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=params["lam"], seed=params["seed"])
+    pop = data_mod.load(params["data"])
     result = pgd_solve(pop, cfg)
     _write_results("solve", params, pop.d, [(params["lam"], *_result_fields(result))])
     return 0
 
 
 def _cmd_calibrate(params: dict) -> int:
-    pop = data_mod.load(params["data"])
     cfg = _solver_config(params, lam=0.0, seed=params["seed"])
     target = CalibrationTarget(K=params["max_violations"], delta=params["delta"])
+    pop = data_mod.load(params["data"])
     outcome = calibrate_lambda(pop, target, cfg)
     row = (outcome.lam, outcome.feasible, outcome.solve_count, *_result_fields(outcome.result))
     _write_results("calibrate", params, pop.d, [row])
@@ -340,10 +343,10 @@ def _cmd_oracle(params: dict) -> int:
     mode = params["mode"]
     if mode not in ("constrained", "penalized"):
         raise UsageError(f"mode must be 'constrained' or 'penalized', got {mode!r}")
-    pop = data_mod.load(params["data"])
     cfg = OracleConfig(
         **{key: params[key] for key in _ORACLE if key != "K"}, K=params["max_violations"]
     )
+    pop = data_mod.load(params["data"])
     if mode == "penalized":
         result = oracle_penalized_2d(pop, params["lam"], cfg)
     else:
@@ -420,8 +423,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    where = {}
     try:
-        params = _resolve(args.command, args)
+        params, where = _resolve(args.command, args)
         _check_outputs(params, args.config)
         return _COMMANDS[args.command][0](params)
     except NoFeasibleCandidateError as exc:
@@ -436,7 +440,10 @@ def run(argv=None) -> int:
         print(f"error: {name or 'i/o'}: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:  # a DatasetFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        # a setting that a config line set, and no flag replaced, is named by that line
+        key = exc.name if isinstance(exc, SettingError) else None
+        line = where.get("max_violations" if key == "K" else key)
+        print(f"error: {line + ': ' if line else ''}{exc}", file=sys.stderr)
         return 2
 
 

@@ -57,31 +57,40 @@ def _as_vector(v, name: str) -> np.ndarray:
     return _read_only(arr.copy())
 
 
+class SettingError(ValueError):
+    """One setting's value failed its own check; ``name`` is the setting, so
+    a caller that read it from a file can say where."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def _require_int(name: str, value, low: int | None = None) -> None:
     """Reject a bool or non-integer ``value``, or one below ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise SettingError(name, f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
+        raise SettingError(name, f"{name} must be at least {low}, got {value}")
 
 
 def _require_seed(seed) -> None:
     """Reject anything but an integer in [0, 2**64), the Philox key range."""
     _require_int("seed", seed)
     if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed}")
+        raise SettingError("seed", f"seed must be a nonnegative integer below 2**64, got {seed}")
 
 
 def _require_lambda(lam) -> None:
     """Reject a penalty strength that is negative or not finite."""
     if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+        raise SettingError("lam", f"lam must be nonnegative and finite, got {lam}")
 
 
 def _require_positive(name: str, value) -> None:
     """Reject a real that is not positive or not finite."""
     if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise SettingError(name, f"{name} must be positive and finite, got {value}")
 
 
 def _stream(seed: int, stream: int) -> Generator:

@@ -46,8 +46,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import MetricReport, halfspace_scores
-from .model import (LinearModerator, Population, _require_int, _require_lambda, _require_positive,
-                    _require_seed, _stream)
+from .model import (LinearModerator, Population, SettingError, _require_int, _require_lambda,
+                    _require_positive, _require_seed, _stream)
 
 __all__ = [
     "SolverConfig",
@@ -90,10 +90,10 @@ class SolverConfig:
     scale; later steps follow from the restart's own moves (``pgd_solve``).
     It is also the scale of the stationarity test: a restart has converged
     once (w - clip(w - (learning_rate/n) grad_w, -1, 1)) / learning_rate and
-    grad_b / n together have norm at most ``tol_grad``. ``a_min`` floors the
-    loss shape parameter when the candidate normal turns against the trend
-    (w.e <= 0), keeping the branch formulas defined; geometry (the y values)
-    is never floored.
+    grad_b / n together have norm at most ``_TOL_GRAD``. That tolerance and
+    the floor ``_A_MIN`` on a, which keeps the branch formulas defined where
+    w.e <= 0, are module constants: numerical guards, not modelling choices,
+    so no caller tunes them. Geometry (the y values) is never floored.
     """
 
     epsilon: float = 0.9
@@ -102,15 +102,12 @@ class SolverConfig:
     max_iters: int = 2000
     restarts: int = 8
     seed: int = 0
-    tol_grad: float = 1e-8
-    a_min: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+            raise SettingError("epsilon", f"epsilon must be in (0, 1), got {self.epsilon}")
         _require_lambda(self.lam)
-        for name in ("learning_rate", "tol_grad", "a_min"):
-            _require_positive(name, getattr(self, name))
+        _require_positive("learning_rate", self.learning_rate)
         for name in ("max_iters", "restarts"):
             _require_int(name, getattr(self, name), 1)
         _require_seed(self.seed)
@@ -209,7 +206,7 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, cfg: SolverConfig):
     in the same layout. Both y and a depend on w (da/dw = e/(2c)); only y
     depends on b, so G's b entry is the sum of dl/dy and its w part is
     X^T dl/dy + e sum_i (dl/dy + dl/da)_i / (2c_i). Where the floor is active
-    (a_raw < a_min), a is held constant: its chain-rule term drops out and
+    (a_raw < ``_A_MIN``), a is held constant: its chain-rule term drops out and
     the sum is dl/dy alone.
 
     Per-user terms are laid out (R, n) and each product with X or e is a
@@ -222,9 +219,9 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, cfg: SolverConfig):
     W = np.ascontiguousarray(Z[:, :-1])
     a_raw = np.matmul(W[:, None, :], e) * half_inv_cost
     y = np.matmul(X, W[:, :, None])[:, :, 0] + Z[:, -1:] + a_raw
-    floor = a_raw < cfg.a_min
+    floor = a_raw < _A_MIN
     floored = floor.any()
-    a = np.maximum(a_raw, cfg.a_min) if floored else a_raw
+    a = np.maximum(a_raw, _A_MIN) if floored else a_raw
 
     values, dl_dy, dl_dsum = _branch_terms(y, a, cfg.epsilon, cfg.lam)
     if floored:
@@ -286,14 +283,21 @@ def _solve_result(pop: Population, w, b, objective, iterations, converged) -> So
 
 
 # Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
-# fraction, and the factors applied to a row's step on accept and reject.
-# An accepted move with positive curvature sets the next step instead, to the
-# Barzilai-Borwein step clamped to [_STEP_MIN, _STEP_MAX].
+# fraction, and the factors applied to a row's step on accept and reject; an
+# accepted move with positive curvature sets the Barzilai-Borwein step instead,
+# clamped to [_STEP_MIN, _STEP_MAX]. Then ``SolverConfig``'s numerical guards.
 _ARMIJO_SIGMA = 1e-4
 _STEP_GROW = 1.5
 _STEP_SHRINK = 0.5
 _STEP_MIN = 1e-10
 _STEP_MAX = 1e10
+_TOL_GRAD = 1e-8
+_A_MIN = 1e-6
+
+
+def _clip(x, lo, hi):
+    """np.clip's values at a fraction of its call overhead on a few rows."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -303,9 +307,9 @@ def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _stationary(Z, G, n: int, cfg: SolverConfig) -> np.ndarray:
     """Per row of [w | b]: passes the stationarity test of ``SolverConfig``."""
-    P = (Z - np.clip(Z - (cfg.learning_rate / n) * G, -1.0, 1.0)) / cfg.learning_rate
+    P = (Z - _clip(Z - (cfg.learning_rate / n) * G, -1.0, 1.0)) / cfg.learning_rate
     P[:, -1] = G[:, -1] / n
-    return np.sqrt(_rowdot(P, P)) <= cfg.tol_grad
+    return np.sqrt(_rowdot(P, P)) <= _TOL_GRAD
 
 
 def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
@@ -323,7 +327,9 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     the row in place and multiplies t by ``_STEP_SHRINK``. So a row's
     objective never rises and its current iterate is its best. It stops at a
     point passing ``SolverConfig``'s stationarity test or after
-    ``max_iters`` trials. The first lowest objective with w != 0 wins.
+    ``max_iters`` trials. The first lowest objective with w != 0 wins. Each
+    restart's state is held once, in arrays indexed by restart: a trial gathers
+    the running rows, writes the accepted trials back and tests only those.
     """
     X, e = pop.feature_matrix, pop.trend.e
     n, d = X.shape
@@ -335,31 +341,24 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     iterations = np.zeros(cfg.restarts, dtype=np.int64)
     converged = _stationary(Z, G, n, cfg)
 
-    # The running rows' state, compacted, so a trial indexes nothing; a row's
-    # point, objective and trial count are written back when it stops.
-    rows = np.flatnonzero(~converged)
-    Zr, Gr, objr = Z[rows], G[rows], obj[rows]
-    step = np.full(rows.size, cfg.learning_rate)
-    trials = 0
-    while rows.size and trials < cfg.max_iters:
-        trials += 1
-        Z_try = np.clip(Zr - (step / n)[:, None] * Gr, -upper, upper)
+    step = np.full(cfg.restarts, cfg.learning_rate)
+    for trials in range(1, cfg.max_iters + 1):
+        rows = np.flatnonzero(~converged)
+        if rows.size == 0:
+            break
+        Zr, Gr, t = Z.take(rows, axis=0), G.take(rows, axis=0), step.take(rows)
+        Z_try = _clip(Zr - (t / n)[:, None] * Gr, -upper, upper)
         obj_try, G_try = _objective_and_gradient(Z_try, X, e, half_inv_cost, cfg)
         move = Z_try - Zr
-        ok = obj_try <= objr + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
+        ok = obj_try <= obj.take(rows) + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
         ss, sy = _rowdot(move, move), _rowdot(move, G_try - Gr)
         curved = sy > 0
-        spectral = np.clip(n * ss / np.where(curved, sy, 1.0), _STEP_MIN, _STEP_MAX)
-        step = np.where(ok, np.where(curved, spectral, step * _STEP_GROW), step * _STEP_SHRINK)
-        Zr, Gr = np.where(ok[:, None], Z_try, Zr), np.where(ok[:, None], G_try, Gr)
-        objr = np.where(ok, obj_try, objr)
-        done = ok & _stationary(Z_try, G_try, n, cfg)
-        if done.any():
-            stop, live = rows[done], ~done
-            Z[stop], obj[stop], iterations[stop] = Zr[done], objr[done], trials
-            converged[stop] = True
-            rows, Zr, Gr, objr, step = rows[live], Zr[live], Gr[live], objr[live], step[live]
-    Z[rows], obj[rows], iterations[rows] = Zr, objr, trials
+        spectral = _clip(n * ss / np.where(curved, sy, 1.0), _STEP_MIN, _STEP_MAX)
+        step[rows] = np.where(ok, np.where(curved, spectral, t * _STEP_GROW), t * _STEP_SHRINK)
+        moved, Z_ok, G_ok = rows[ok], Z_try[ok], G_try[ok]
+        Z[moved], G[moved], obj[moved] = Z_ok, G_ok, obj_try[ok]
+        converged[moved] = _stationary(Z_ok, G_ok, n, cfg)
+        iterations[rows] = trials
 
     nonzero = np.flatnonzero(np.any(np.abs(Z[:, :-1]) > 0, axis=1))
     if nonzero.size == 0:

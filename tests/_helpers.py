@@ -21,7 +21,7 @@ from modbalance import (
     ideal_point,
 )
 from modbalance.model import _project_benign
-from modbalance.solver import _branch_terms, _initial_point
+from modbalance.solver import _A_MIN, _TOL_GRAD, _branch_terms, _initial_point
 
 
 def utility(z, u, e, f):
@@ -309,10 +309,10 @@ def single_objective_and_gradient(w, b, X, costs, e, cfg):
     """Summed surrogate loss and its (w, b) gradient at one point (w, b)."""
     half_inv_cost = 1.0 / (2.0 * costs)
     a_raw = float(np.dot(w, e)) * half_inv_cost
-    a = np.maximum(a_raw, cfg.a_min)
+    a = np.maximum(a_raw, _A_MIN)
     y = X @ w + b + a_raw
     values, dl_dy, dl_dsum = _branch_terms(y, a, cfg.epsilon, cfg.lam)
-    dl_dsum = np.where(a_raw < cfg.a_min, dl_dy, dl_dsum)  # a is held at the floor
+    dl_dsum = np.where(a_raw < _A_MIN, dl_dy, dl_dsum)  # a is held at the floor
     grad_w = X.T @ dl_dy + e * float(np.sum(dl_dsum * half_inv_cost))
     return float(np.sum(values)), grad_w, float(np.sum(dl_dy))
 
@@ -334,7 +334,7 @@ def reference_restart(r, cfg, X, costs, e):
     change of the gradient along it, t becomes n <s, s> / <s, dg> clamped to
     [1e-10, 1e10] when <s, dg> > 0, and grows by 1.5 otherwise (counted in
     ``fallbacks``). A rejected trial halves t. The restart stops once its
-    current point's projected gradient is at most ``tol_grad``, or after
+    current point's projected gradient is at most ``_TOL_GRAD``, or after
     ``max_iters`` trials.
     """
     n = X.shape[0]
@@ -342,7 +342,7 @@ def reference_restart(r, cfg, X, costs, e):
     obj, grad_w, grad_b = single_objective_and_gradient(w, b, X, costs, e, cfg)
     t = cfg.learning_rate
     iterations = fallbacks = 0
-    converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= cfg.tol_grad
+    converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= _TOL_GRAD
     while not converged and iterations < cfg.max_iters:
         w_try = np.clip(w - (t / n) * grad_w, -1.0, 1.0)
         b_try = b - (t / n) * grad_b
@@ -358,7 +358,7 @@ def reference_restart(r, cfg, X, costs, e):
                 t *= 1.5
                 fallbacks += 1
             w, b, obj, grad_w, grad_b = w_try, b_try, obj_try, gw_try, gb_try
-            converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= cfg.tol_grad
+            converged = projected_gradient_norm(w, grad_w, grad_b, n, cfg) <= _TOL_GRAD
         else:
             t *= 0.5
     return obj, w, b, iterations, converged, fallbacks

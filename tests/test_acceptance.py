@@ -40,6 +40,7 @@ from modbalance import (
     toy_disk,
 )
 from modbalance.cli import run
+from modbalance.solver import _A_MIN
 
 
 def report(num, name, ok, detail=""):
@@ -179,10 +180,10 @@ def test_criterion_04_surrogate_analytics():
             epsilon=float(rng.uniform(0.3, 0.95)), lam=float(rng.uniform(0.05, 20.0))
         )
         a_raw = (w @ pop.trend.e) / (2.0 * pop.costs)
-        a = np.maximum(a_raw, cfg.a_min)
+        a = np.maximum(a_raw, _A_MIN)
         y = pop.feature_matrix @ w + b + a_raw
         joins = np.minimum(np.abs(y - (1 - cfg.epsilon) * a), np.abs(y - a))
-        if np.any(joins < 1e-4) or np.any(np.abs(a_raw - cfg.a_min) < 1e-4):
+        if np.any(joins < 1e-4) or np.any(np.abs(a_raw - _A_MIN) < 1e-4):
             continue
 
         def objective(wv, bv):
@@ -190,7 +191,7 @@ def test_criterion_04_surrogate_analytics():
             yv = pop.feature_matrix @ wv + bv + av_raw
             return sum(
                 surrogate_loss(float(yi), float(ai), cfg)
-                for yi, ai in zip(yv, np.maximum(av_raw, cfg.a_min))
+                for yi, ai in zip(yv, np.maximum(av_raw, _A_MIN))
             )
 
         gw, gb = surrogate_gradient(w, b, pop, cfg)

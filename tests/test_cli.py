@@ -10,6 +10,7 @@ import pytest
 from modbalance import (
     CalibrationTarget,
     MixtureSpec,
+    NoFeasibleCandidateError,
     OracleConfig,
     SolverConfig,
     calibrate_lambda,
@@ -18,6 +19,7 @@ from modbalance import (
     load,
     toy_disk,
 )
+from modbalance import cli
 from modbalance.cli import _SCHEMAS, _result_header, run
 
 
@@ -426,6 +428,89 @@ class TestExitCodes:
         assert run([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    @pytest.mark.parametrize("command, text, flags, message", [
+        ("generate", "n = 0\n", [], "1: n must be at least 1, got 0"),
+        ("solve", "data = pop.csv\nrestarts = 0\n", ["--out", "r.csv"],
+         "2: restarts must be at least 1, got 0"),
+        ("calibrate", "max_violations = 3\ndelta = 0\n", ["--data", "pop.csv", "--out", "r.csv"],
+         "2: delta must be positive and finite, got 0.0"),
+        ("oracle", "out = o.csv\nmax_violations = -1\n", ["--data", "pop.csv"],
+         "2: K must be at least 0, got -1"),
+    ], ids=["generate_n", "solve_restarts", "calibrate_delta", "oracle_max_violations"])
+    def test_config_setting_errors_name_file_and_line(
+        self, tmp_path, capsys, monkeypatch, command, text, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)  # the relative paths below
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(text)
+        out = ["--out", str(tmp_path / "x.csv")] if command == "generate" else []
+        assert run([command, "--config", str(cfg), *out, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("n = 10\n", ["--n", "0"], "n must be at least 1, got 0"),
+        ("n = 10\nk = 3\n", [], "k = 3 must divide n = 10"),
+        ("c_lo = 2.0\n", [], "need 0 < c_lo <= c_hi"),
+    ], ids=["flag_replaces_line", "k_divides_n", "c_lo_le_c_hi"])
+    def test_flag_and_cross_field_errors_name_no_line(
+        self, tmp_path, capsys, text, flags, message
+    ):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(text)
+        assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                    *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("solve", ["--restarts", "0"], "restarts must be at least 1, got 0"),
+        ("calibrate", ["--max-violations", "3", "--delta", "0"],
+         "delta must be positive and finite, got 0.0"),
+        ("oracle", ["--angle-steps", "2"], "angle_steps must be at least 8, got 2"),
+    ], ids=["solve_restarts", "calibrate_delta", "oracle_angle_steps"])
+    def test_checks_settings_before_loading_data(self, tmp_path, capsys, command, flags, message):
+        rc = run([command, "--data", str(tmp_path / "missing.csv"), "--out",
+                  str(tmp_path / "o.csv"), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, flag", [("solve", "--tol-grad"), ("sweep", "--a-min")])
+    def test_removed_solver_flags_are_unrecognized(self, tmp_path, small_pop, capsys, command,
+                                                   flag):
+        data = ["--data", str(small_pop)] if command == "solve" else []
+        value = "1e-8" if flag == "--tol-grad" else "1e-6"
+        assert run([command, *data, "--out", str(tmp_path / "r.csv"), flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_config_boolean_that_is_not_one(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"out = {tmp_path / 's.csv'}\nplot = maybe\n")
+        assert run(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: bad value for plot: not a boolean: 'maybe'\n")
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert run(["toy", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: ") and "No such file" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_feasible_candidate_reports_the_least_violating(
+        self, tmp_path, small_pop, capsys, monkeypatch
+    ):
+        def infeasible(pop, cfg):
+            raise NoFeasibleCandidateError("no candidate meets K = 0", np.array([0.6, 0.8]),
+                                           -0.25, 3)
+
+        monkeypatch.setattr(cli, "oracle_2d", infeasible)
+        out = tmp_path / "o.csv"
+        assert run(["oracle", "--data", str(small_pop), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no candidate meets K = 0 (least-violating candidate: "
+            "w = [0.6, 0.8], b = -0.25, violations = 3)\n")
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope.csv"),

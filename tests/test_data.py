@@ -169,6 +169,25 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match="line 3: trend must be finite and nonzero"):
             load(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("# d = 2\n# trend\nx_0,x_1,c\n0.0,0.0,1.0\n", 2,
+         "malformed metadata comment '# trend'"),
+        ("# trend = 1,0\nx_0,y,c\n0.0,0.0,1.0\n", 2,
+         "feature columns must be x_0..x_{d-1}, got ['x_0', 'y']"),
+        ("# d = 3\n# trend = 1,0\nx_0,x_1,c\n0.0,0.0,1.0\n", 3,
+         "metadata d = 3 disagrees with header width 2"),
+        ("# d = two\n# trend = 1,0\nx_0,x_1,c\n0.0,0.0,1.0\n", 3,
+         "bad metadata value: invalid literal for int() with base 10: 'two'"),
+        ("# d = 2\n# trend = 1,0,0\nx_0,x_1,c\n0.0,0.0,1.0\n", 3,
+         "trend has 3 coordinates, expected 2"),
+    ], ids=["meta_without_equals", "feature_columns", "d_disagrees", "bad_meta_value",
+            "trend_length"])
+    def test_header_and_metadata_errors_report_their_line(self, tmp_path, text, line, message):
+        with pytest.raises(DatasetFormatError) as info:
+            load(self._write(tmp_path, text))
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
     def test_no_header(self, tmp_path):
         path = self._write(tmp_path, "# d = 2\n")
         with pytest.raises(DatasetFormatError, match="header"):
