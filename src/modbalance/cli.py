@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import MixtureSpec
-from .model import SettingError, _require_int
+from .model import SettingError, _require_int, _require_lambda
 from .oracle import NoFeasibleCandidateError, OracleConfig, oracle_2d, oracle_penalized_2d, toy_disk
 from .solver import (
     CalibrationTarget,
@@ -346,6 +346,8 @@ def _cmd_oracle(params: dict) -> int:
     cfg = OracleConfig(
         **{key: params[key] for key in _ORACLE if key != "K"}, K=params["max_violations"]
     )
+    if mode == "penalized":
+        _require_lambda(params["lam"])
     pop = data_mod.load(params["data"])
     if mode == "penalized":
         result = oracle_penalized_2d(pop, params["lam"], cfg)

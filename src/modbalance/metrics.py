@@ -5,16 +5,16 @@ benign; everyone else contributes nothing. Mitigation compares a moderator
 against the do-nothing baseline, user by user, and is always nonnegative: a
 moderator can only shorten the detour a benign user takes chasing the trend.
 
-``metrics`` reports any moderator by one array pass over
-:func:`~modbalance.model.best_responses`.
-
-Halfspaces also have a closed form that simulates no responses:
+Halfspaces have a closed form that simulates no responses:
 ``halfspace_scores`` gives DM, the squared ideal-point hinge penalty, the
 violation count and the filtered count of a batch of halfspaces. It is the
-one place that scores a halfspace: ``dm_closed_form_linear``, every
-``SolveResult`` (its ``metrics`` report included), the solver's exact
-penalized objective and the d = 2 oracles all call it, and like
-``best_responses`` it counts a score <= ``BENIGN_TOL`` as benign.
+one place that scores a halfspace: ``metrics``, ``dm_closed_form_linear``,
+every ``SolveResult``, the solver's exact penalized objective and the d = 2
+oracles all call it, and like ``best_responses`` it counts a score <=
+``BENIGN_TOL`` as benign. ``metrics``, ``dm_closed_form_linear`` and
+``SolveResult`` read the same one-row call, so ``SolveResult.metrics`` is
+``metrics(pop, result.moderator)``. The do-nothing ``TRIVIAL`` mitigates
+nothing and filters no one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BENIGN_TOL, LinearModerator, Moderator, Population, ResponseCase, best_responses
+from .model import BENIGN_TOL, LinearModerator, Moderator, Population, TrivialModerator
 
 __all__ = ["MetricReport", "halfspace_scores", "dm_closed_form_linear", "metrics",
            "generalization_gap"]
@@ -117,27 +117,30 @@ def halfspace_scores(
     return dm, penalty, violations, filtered
 
 
+def _halfspace_report(pop: Population, f: LinearModerator) -> tuple[MetricReport, float, int]:
+    """The report, penalty and violation count of ``f``'s one ``halfspace_scores`` row."""
+    dm, penalty, violations, filtered = (
+        v[0].item() for v in halfspace_scores(pop, f.w[None, :], np.array([f.b])))
+    n = pop.n
+    report = MetricReport(dm, (n - violations) / n, (n - filtered) / n, filtered, n)
+    return report, penalty, violations
+
+
 def dm_closed_form_linear(pop: Population, f: LinearModerator) -> float:
     """Total mitigation of a halfspace moderator without simulating responses."""
-    return float(halfspace_scores(pop, f.w[None, :], np.array([f.b]))[0][0])
+    return _halfspace_report(pop, f)[0].dm
 
 
 def metrics(pop: Population, f: Moderator) -> MetricReport:
-    """Mitigation total plus both speech indices, from one best-response pass.
+    """Mitigation total plus both speech indices of a halfspace or ``TRIVIAL``.
 
-    Only projected users mitigate: a filtered origin counts nothing, and a
-    user who reaches the ideal point moves the baseline distance.
+    A halfspace is reported from its ``halfspace_scores`` row: ``fos_desired``
+    counts the ideal points it leaves benign and ``fos_retained`` the users
+    who do not stay filtered. ``TRIVIAL`` moves no one off the baseline.
     """
-    Z, cases = best_responses(pop, f)
-    moved = cases == ResponseCase.PROJECTED
-    costs = pop.costs[moved]
-    e = pop.trend.e
-    delta = Z[moved] - pop.feature_matrix[moved]
-    dm = float(np.sum(np.dot(e, e) / (4.0 * costs * costs) - np.sum(delta * delta, axis=1)))
-    desired = int(np.count_nonzero(cases == ResponseCase.UNCONSTRAINED))
-    filtered = int(np.count_nonzero(cases == ResponseCase.STAY_FILTERED))
-    n = pop.n
-    return MetricReport(dm, desired / n, (n - filtered) / n, filtered, n)
+    if isinstance(f, TrivialModerator):
+        return MetricReport(0.0, 1.0, 1.0, 0, pop.n)
+    return _halfspace_report(pop, f)[0]
 
 
 def generalization_gap(

@@ -3,10 +3,12 @@
 A user publishes content represented by a feature vector ``x`` and pays a
 quadratic cost ``c`` per unit of squared displacement when rewriting it. A
 moderator assigns every candidate vector a harmfulness score; content with a
-nonpositive score is benign (published), positive means filtered. Facing a
-moderator, a rational user shifts toward the trend direction as far as the
-benign region allows, which this module resolves in closed form: each
-moderator type has one projection that takes a point (d,) or rows (k, d).
+nonpositive score is benign (published), positive means filtered. The
+moderators are halfspaces, {z : w.z + b <= 0}, and the do-nothing
+:data:`TRIVIAL`, which filters nothing. Facing a halfspace, a rational user
+shifts toward the trend direction as far as the benign region allows, which
+this module resolves in closed form by one projection onto the boundary,
+:func:`project_hyperplane`, of a point (d,) or of rows (k, d).
 
 A :class:`Population` is three read-only things: a feature matrix (n, d), a
 cost vector (n,) and the trend. :func:`best_responses` is the one
@@ -17,7 +19,6 @@ one-row call of it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -25,22 +26,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 __all__ = [
-    "BENIGN_TOL", "EmptyBenignRegionError", "UserProfile", "Trend", "Population",
-    "Moderator", "LinearModerator", "PolytopeModerator", "TrivialModerator", "TRIVIAL",
-    "ResponseCase", "BestResponseResult", "ideal_point", "project_hyperplane",
-    "project_polytope", "best_response", "best_responses",
+    "BENIGN_TOL", "UserProfile", "Trend", "Population", "Moderator", "LinearModerator",
+    "TrivialModerator", "TRIVIAL", "ResponseCase", "BestResponseResult", "ideal_point",
+    "project_hyperplane", "best_response", "best_responses",
 ]
 
 # Scores within this slack of zero count as benign, so points constructed on
 # the decision boundary (projections) are accepted despite roundoff.
 BENIGN_TOL = 1e-12
-
-# Active-set enumeration is exponential in the number of halfspaces.
-MAX_POLYTOPE_FACES = 12
-
-
-class EmptyBenignRegionError(ValueError):
-    """No feasible point exists: the moderator's benign region is empty."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -215,8 +208,9 @@ class Population:
 
 
 class Moderator:
-    """Scoring interface: ``score(z) <= 0`` means ``z`` is benign; subclasses
-    define ``score_many``, the scores (k,) of rows (k, d)."""
+    """Scoring interface of :class:`LinearModerator` and :class:`TrivialModerator`:
+    ``score(z) <= 0`` means ``z`` is benign; ``score_many`` gives the scores
+    (k,) of rows (k, d)."""
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -248,46 +242,6 @@ class LinearModerator(Moderator):
         if not isinstance(other, LinearModerator):
             return NotImplemented
         return self.b == other.b and np.array_equal(self.w, other.w)
-
-
-@dataclass(frozen=True, eq=False)
-class PolytopeModerator(Moderator):
-    """Intersection of halfspaces; benign iff every w_j.z + b_j <= 0.
-
-    ``normals`` (m, d) and ``offsets`` (m,) are the faces stacked once, at
-    construction, as read-only arrays.
-    """
-
-    halfspaces: tuple[tuple[np.ndarray, float], ...]
-    normals: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        faces = []
-        for j, (w, b) in enumerate(self.halfspaces):
-            w = _as_vector(w, f"w[{j}]")
-            if not np.any(np.abs(w) > 0):
-                raise ValueError(f"halfspace {j} has zero normal")
-            if faces and w.size != faces[0][0].size:
-                raise ValueError(f"halfspace {j} has dimension {w.size}, "
-                                 f"but halfspace 0 has dimension {faces[0][0].size}")
-            faces.append((w, float(b)))
-        if not faces:
-            raise ValueError("polytope moderator needs at least one halfspace")
-        if len(faces) > MAX_POLYTOPE_FACES:
-            raise ValueError(
-                f"at most {MAX_POLYTOPE_FACES} halfspaces supported, got {len(faces)}"
-            )
-        object.__setattr__(self, "halfspaces", tuple(faces))
-        object.__setattr__(self, "normals", _read_only(np.vstack([w for w, _ in faces])))
-        object.__setattr__(self, "offsets", _read_only(np.array([b for _, b in faces])))
-
-    @property
-    def m(self) -> int:
-        return len(self.halfspaces)
-
-    def score_many(self, Z: np.ndarray) -> np.ndarray:
-        return np.max(Z @ self.normals.T + self.offsets, axis=1)
 
 
 class TrivialModerator(Moderator):
@@ -336,44 +290,6 @@ def project_hyperplane(z, f: LinearModerator) -> np.ndarray:
     return z - ((z @ f.w + f.b) / np.dot(f.w, f.w))[..., None] * f.w
 
 
-def project_polytope(z, f: PolytopeModerator) -> np.ndarray:
-    """Nearest benign point to ``z`` (d,) or to each of its rows (k, d).
-
-    A row feasible within 1e-9 (1 + |z|) is its own projection. Otherwise each
-    subset of at most d faces with independent normals is an active set: all
-    rows are projected onto its affine intersection at once, and each row
-    keeps its first strictly closest candidate feasible for every face.
-    Exact for convex polyhedra; cost is 2^m projections.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    Z = np.atleast_2d(z)
-    A, b = f.normals, f.offsets
-    tol = 1e-9 * (1.0 + np.linalg.norm(Z, axis=1))
-    best = Z.copy()
-    best_dist = np.where(np.max(Z @ A.T + b, axis=1) <= tol, 0.0, np.inf)
-    for r in range(1, min(f.m, Z.shape[1]) + 1):
-        for subset in itertools.combinations(range(f.m), r):
-            As, bs = A[list(subset)], b[list(subset)]
-            if np.linalg.matrix_rank(As) < r:
-                continue
-            P = Z - np.linalg.solve(As @ As.T, (Z @ As.T + bs).T).T @ As
-            dist = np.sum((P - Z) ** 2, axis=1)
-            take = (np.max(P @ A.T + b, axis=1) <= tol) & (dist < best_dist)
-            best[take], best_dist[take] = P[take], dist[take]
-    if np.any(np.isinf(best_dist)):
-        raise EmptyBenignRegionError(
-            "no feasible projection candidate: benign region appears empty")
-    return best.reshape(z.shape)
-
-
-def _project_benign(z: np.ndarray, f: Moderator) -> np.ndarray:
-    if isinstance(f, LinearModerator):
-        return project_hyperplane(z, f)
-    if isinstance(f, PolytopeModerator):
-        return project_polytope(z, f)
-    raise TypeError(f"cannot project onto benign region of {type(f).__name__}")
-
-
 def best_response(u: UserProfile, e: Trend, f: Moderator) -> BestResponseResult:
     """Utility-maximizing rewrite of ``u.x`` against moderator ``f``: a
     one-row :func:`best_responses` call.
@@ -396,9 +312,9 @@ def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarra
     is filtered but the origin is benign, so the user settles for the
     boundary projection of the ideal point; or both are filtered, and the
     user crosses to the boundary only when doing so beats the zero utility of
-    staying put (ties break to staying). Only users whose ideal point is
-    filtered are projected, all in one call of their moderator type's
-    projection.
+    staying put (ties break to staying). ``f`` is a halfspace or
+    :data:`TRIVIAL`; only users whose ideal point is filtered are projected,
+    all in one :func:`project_hyperplane` call.
     """
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
     Z = X + e / (2.0 * costs)[:, None]
@@ -406,7 +322,7 @@ def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarra
     out = f.score_many(Z) > BENIGN_TOL
     if not np.any(out):
         return Z, cases
-    P = _project_benign(Z[out], f)
+    P = project_hyperplane(Z[out], f)
     Xo = X[out]
     utility_p = P @ e - costs[out] * np.sum((P - Xo) ** 2, axis=1)
     origin_benign = f.score_many(Xo) <= BENIGN_TOL

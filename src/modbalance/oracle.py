@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import halfspace_scores
-from .model import Population, Trend, _require_int, _require_lambda, _require_seed, _stream
+from .model import (Population, SettingError, Trend, _require_int, _require_lambda, _require_seed,
+                    _stream)
 from .solver import SolveResult, _exact_result
 
 __all__ = [
@@ -151,7 +152,7 @@ def toy_disk(
     if not all(-1.0 <= t <= 1.0 for t in theta_grid):
         raise ValueError("theta values must lie in [-1, 1]")
     if not (c > 0 and np.isfinite(c)):
-        raise ValueError(f"manipulation cost c must be positive, got {c}")
+        raise SettingError("c", f"manipulation cost c must be positive, got {c}")
     _require_int("samples", samples, 1)
     _require_seed(seed)
 

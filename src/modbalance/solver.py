@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import MetricReport, halfspace_scores
+from .metrics import MetricReport, _halfspace_report
 from .model import (LinearModerator, Population, SettingError, _require_int, _require_lambda,
                     _require_positive, _require_seed, _stream)
 
@@ -135,7 +135,7 @@ class SolveResult:
     is user i's ideal-point score. ``metrics`` is the report of the same row:
     its ``dm`` is ``dm``, ``fos_desired`` is (n - violations)/n and
     ``fos_retained`` is (n - filtered)/n, with the row's filtered count. It
-    equals what ``metrics(pop, moderator)`` counts by best responses.
+    is ``metrics(pop, moderator)``, which reads the same row.
 
     ``objective`` is the summed surrogate loss for the PGD solver. Otherwise
     it is the exact objective of the returned moderator, computed from this
@@ -274,12 +274,9 @@ def _initial_point(
 def _solve_result(pop: Population, w, b, objective, iterations, converged) -> SolveResult:
     """The SolveResult of halfspace (w, b), scored by one ``halfspace_scores`` row."""
     f = LinearModerator(w, b)
-    dm, penalty, violations, filtered = (
-        v[0].item() for v in halfspace_scores(pop, f.w[None, :], np.array([f.b])))
-    n = pop.n
-    report = MetricReport(dm, (n - violations) / n, (n - filtered) / n, filtered, n)
-    return SolveResult(f, float(objective), dm, penalty, violations, report, int(iterations),
-                       bool(converged))
+    report, penalty, violations = _halfspace_report(pop, f)
+    return SolveResult(f, float(objective), report.dm, penalty, violations, report,
+                       int(iterations), bool(converged))
 
 
 # Armijo rule along the projection arc (Bertsekas 1976): sufficient-decrease
@@ -514,16 +511,17 @@ def calibrate_lambda(
     The bisection assumes that violations shrink as lambda grows, so that
     too many violations at a midpoint send the search to the upper half.
     The assumption fails: the violation count of the PGD solutions is not
-    monotone in lambda (on the README population at K = 25: 44 at
-    lambda = 40.766, 48 at 45.862, 42 at 48.3245 and 1 at 48.3251). The
-    caller then gets the smallest probed lambda whose solve met the cap. Its
-    moderator meets the cap, but a smaller feasible lambda may have been
-    skipped, and it may mitigate nothing (DM = 0 in that README case, at
-    lambda = 48.3251). Each solve uses a seed derived from (base seed, solve
-    index) for a reproducible trace. The interval shrinks from lambda_max to
-    delta in ceil(log2(max/delta)) midpoint solves, plus the single
-    feasibility probe at the cap, for every delta: the loop halves the exact
-    bracket width rather than testing hi - lo, which stalls at adjacent floats.
+    monotone in lambda (on the README population at K = 25, solver seed 0:
+    0 at lambda = 163.06, 1 at 81.53, 44 at 40.77, 47 at 61.15 and 1 at
+    71.34). The caller then gets the smallest probed lambda whose solve met
+    the cap. Its moderator meets the cap, but a smaller feasible lambda may
+    have been skipped, and it may mitigate nothing (DM = 0 in that README
+    case, at lambda = 65.034 with 1 violation, after 19 solves). Each solve
+    uses a seed derived from (base seed, solve index) for a reproducible
+    trace. The interval shrinks from lambda_max to delta in
+    ceil(log2(max/delta)) midpoint solves, plus the single feasibility probe
+    at the cap, for every delta: the loop halves the exact bracket width
+    rather than testing hi - lo, which stalls at adjacent floats.
     """
     if target.K > pop.n:
         raise ValueError(f"K = {target.K} exceeds population size {pop.n}")

@@ -1,26 +1,22 @@
 """Shared test oracles: the per-user best response, utility and mitigation
 by definition, exhaustive utility grids, regime sampling, random moderated
-populations, polytope projection one point at a time, the ideal-point hinge
-and the exact penalized objective, the oracle's candidate set built by nested
-loops, and PGD run one restart at a time."""
-
-import itertools
+populations, the ideal-point hinge and the exact penalized objective, the
+oracle's candidate set built by nested loops, and PGD run one restart at a
+time."""
 
 import numpy as np
 
 from modbalance import (
     BENIGN_TOL,
     BestResponseResult,
-    EmptyBenignRegionError,
     LinearModerator,
     Population,
-    PolytopeModerator,
     ResponseCase,
     TRIVIAL,
     dm_closed_form_linear,
     ideal_point,
+    project_hyperplane,
 )
-from modbalance.model import _project_benign
 from modbalance.solver import _A_MIN, _TOL_GRAD, _branch_terms, _initial_point
 
 
@@ -32,7 +28,8 @@ def utility(z, u, e, f):
 
 
 def reference_best_response(u, e, f):
-    """Utility-maximizing rewrite of ``u.x`` against moderator ``f``, by cases.
+    """Utility-maximizing rewrite of ``u.x`` against a halfspace or
+    ``TRIVIAL`` ``f``, by cases.
 
     Three regimes: the ideal point is benign and taken as-is; the ideal point
     is filtered but the origin is benign, so the user settles for the boundary
@@ -46,7 +43,7 @@ def reference_best_response(u, e, f):
         cost = u.c * float(np.dot(z_prime - u.x, z_prime - u.x))
         return BestResponseResult(z_prime, ResponseCase.UNCONSTRAINED, False, gain - cost)
 
-    p = _project_benign(z_prime, f)
+    p = project_hyperplane(z_prime, f)
     # p sits on the boundary by construction, hence publishes; evaluating the
     # benign indicator at p would be roundoff-fragile.
     utility_p = float(np.dot(p, e.e)) - u.c * float(np.dot(p - u.x, p - u.x))
@@ -185,11 +182,9 @@ def penalized_objective(pop, f, lam):
 
 
 def random_moderated_population(rng, kind):
-    """Random population (d in 1..5, n in 1..300) and a moderator of ``kind``.
-
-    ``kind`` is "halfspace", "polytope" (1-4 faces, origin strictly benign)
-    or "trivial". Offsets sit among the ideal points' scores, so every
-    response case occurs across draws.
+    """Random population (d in 1..5, n in 1..300) and a moderator of ``kind``,
+    "halfspace" or "trivial". The halfspace's offset sits among the ideal
+    points' scores, so every response case occurs across draws.
     """
     d = int(rng.integers(1, 6))
     n = int(rng.integers(1, 301))
@@ -202,72 +197,11 @@ def random_moderated_population(rng, kind):
     if kind == "trivial":
         return pop, TRIVIAL
     ideal = X + e / (2.0 * costs)[:, None]
-    m = 1 if kind == "halfspace" else int(rng.integers(1, 5))
-    faces = []
-    for _ in range(m):
-        w = rng.normal(size=d)
-        if np.linalg.norm(w) < 1e-6:
-            w[0] = 1.0
-        b = -float(np.quantile(ideal @ w, rng.uniform(0.2, 0.9)))
-        if kind == "polytope":
-            b = min(b, -0.2)
-        faces.append((w, b))
-    if kind == "halfspace":
-        return pop, LinearModerator(*faces[0])
-    return pop, PolytopeModerator(tuple(faces))
-
-
-def reference_project_polytope(z, f):
-    """Nearest benign point to one point ``z`` (d,), by definition.
-
-    Returns ``z`` when it is feasible within 1e-9 (1 + |z|). Otherwise tries
-    every subset of at most d faces as the active set, skipping subsets with
-    rank-deficient normals, projects ``z`` onto its affine intersection, and
-    keeps the first strictly closest candidate feasible for every face.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    A, b = f.normals, f.offsets
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(z)))
-    if np.max(A @ z + b) <= tol:
-        return z
-    best = None
-    best_dist = np.inf
-    for r in range(1, min(f.m, z.shape[0]) + 1):
-        for subset in itertools.combinations(range(f.m), r):
-            As, bs = A[list(subset)], b[list(subset)]
-            if np.linalg.matrix_rank(As) < r:
-                continue
-            p = z - As.T @ np.linalg.solve(As @ As.T, As @ z + bs)
-            if np.max(A @ p + b) > tol:
-                continue
-            dist = float(np.dot(p - z, p - z))
-            if dist < best_dist:
-                best, best_dist = p, dist
-    if best is None:
-        raise EmptyBenignRegionError("no feasible projection candidate")
-    return best
-
-
-def random_polytope(rng, d, m):
-    """Polytope of ``m`` faces in ``d`` dimensions with the origin strictly
-    benign; some faces repeat an earlier one exactly, or scaled (the same
-    hyperplane), or parallel at another offset."""
-    faces = []
-    for _ in range(m):
-        w, b = rng.normal(size=d), -float(rng.uniform(0.2, 1.5))
-        kind = rng.integers(4) if faces else 0
-        if kind == 1:
-            w, b = faces[int(rng.integers(len(faces)))]
-        elif kind == 2:
-            s = float(rng.uniform(0.5, 3.0))
-            w, b = faces[int(rng.integers(len(faces)))]
-            w, b = s * w, s * b
-        elif kind == 3:
-            w = faces[int(rng.integers(len(faces)))][0]
-        if np.linalg.norm(w) < 1e-6:
-            w = np.eye(d)[0]
-        faces.append((w, b))
-    return PolytopeModerator(tuple(faces))
+    w = rng.normal(size=d)
+    if np.linalg.norm(w) < 1e-6:
+        w[0] = 1.0
+    b = -float(np.quantile(ideal @ w, rng.uniform(0.2, 0.9)))
+    return pop, LinearModerator(w, b)
 
 
 def loop_candidates(pop, cfg):

@@ -327,6 +327,10 @@ class TestOracleCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'bogus'" in err and "missing.csv" not in err
+        rc = run(["oracle", "--data", str(tmp_path / "missing.csv"), "--out",
+                  str(tmp_path / "o.csv"), "--mode", "penalized", "--lambda", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: lam must be nonnegative and finite, got nan\n"
 
 
 class TestResultRows:
@@ -437,7 +441,8 @@ class TestExitCodes:
          "2: delta must be positive and finite, got 0.0"),
         ("oracle", "out = o.csv\nmax_violations = -1\n", ["--data", "pop.csv"],
          "2: K must be at least 0, got -1"),
-    ], ids=["generate_n", "solve_restarts", "calibrate_delta", "oracle_max_violations"])
+        ("toy", "out = t.csv\nc = 0\n", [], "2: manipulation cost c must be positive, got 0.0"),
+    ], ids=["generate_n", "solve_restarts", "calibrate_delta", "oracle_max_violations", "toy_c"])
     def test_config_setting_errors_name_file_and_line(
         self, tmp_path, capsys, monkeypatch, command, text, flags, message
     ):

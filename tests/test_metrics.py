@@ -17,7 +17,6 @@ from modbalance import (
     BENIGN_TOL,
     LinearModerator,
     Population,
-    PolytopeModerator,
     Trend,
     TRIVIAL,
     UserProfile,
@@ -298,17 +297,9 @@ class TestMetrics:
             assert m.filtered_count == round(m.n * (1 - m.fos_retained))
             assert 0 <= m.fos_desired <= 1 and 0 <= m.fos_retained <= 1
 
-    def test_polytope_population(self):
-        box = PolytopeModerator((([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)))
-        X = np.array([[0.2, 0.0], [-3.0, 0.0], [2.0, 2.0]])
-        pop = Population.from_arrays(X, [0.5, 0.5, 0.5], [1.0, 0.0])
-        m = metrics(pop, box)
-        assert m.n == 3
-        assert m.dm == pytest.approx(dm_population(pop, box))
-
-    @pytest.mark.parametrize("kind", ["halfspace", "polytope", "trivial"])
+    @pytest.mark.parametrize("kind", ["halfspace", "trivial"])
     def test_matches_per_user_loop(self, kind):
-        rng = np.random.default_rng({"halfspace": 51, "polytope": 52, "trivial": 53}[kind])
+        rng = np.random.default_rng({"halfspace": 51, "trivial": 53}[kind])
         for _ in range(40):
             pop, f = random_moderated_population(rng, kind)
             m = metrics(pop, f)
@@ -322,6 +313,12 @@ class TestMetrics:
             assert m.fos_retained == (pop.n - filtered) / pop.n
             assert abs(m.dm - dm) <= 1e-9 * max(1.0, abs(dm))
 
+    def test_dm_is_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(54)
+        for _ in range(40):
+            pop, f = random_moderated_population(rng, "halfspace")
+            assert metrics(pop, f).dm == dm_closed_form_linear(pop, f)
+
     def test_builds_no_user_objects(self, tmp_path, monkeypatch):
         from modbalance import MixtureSpec, generate, load, save
         from modbalance import model
@@ -333,8 +330,7 @@ class TestMetrics:
         pop = generate(MixtureSpec(n=50, k=5, seed=1))
         save(pop, tmp_path / "pop.csv")
         back = load(tmp_path / "pop.csv")
-        box = PolytopeModerator(((np.eye(5)[0], -0.5), (np.eye(5)[1], -0.5)))
-        for f in (LinearModerator(np.eye(5)[0], -0.5), box, TRIVIAL):
+        for f in (LinearModerator(np.eye(5)[0], -0.5), TRIVIAL):
             metrics(back, f)
 
 

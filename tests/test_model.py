@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import modbalance.model as model
 from modbalance import (
-    EmptyBenignRegionError,
     LinearModerator,
     Population,
-    PolytopeModerator,
     ResponseCase,
     Trend,
     TRIVIAL,
@@ -18,7 +15,6 @@ from modbalance import (
     best_responses,
     ideal_point,
     project_hyperplane,
-    project_polytope,
 )
 
 E10 = Trend([1.0, 0.0])
@@ -28,9 +24,7 @@ from _helpers import (
     grid_max_utility,
     in_strategic_regime,
     random_moderated_population,
-    random_polytope,
     reference_best_response,
-    reference_project_polytope,
     utility,
 )
 
@@ -61,11 +55,6 @@ class TestTypes:
     def test_population_nonempty(self):
         with pytest.raises(ValueError):
             Population.from_arrays(np.empty((0, 2)), [], E10.e)
-
-    def test_polytope_faces_must_share_a_dimension(self):
-        msg = "halfspace 1 has dimension 3, but halfspace 0 has dimension 2"
-        with pytest.raises(ValueError, match=msg):
-            PolytopeModerator((([1.0, 0.0], 0.0), ([1.0, 0.0, 0.0], 0.0)))
 
     def test_inputs_are_immutable(self):
         u = UserProfile([1.0, 2.0], 1.0)
@@ -184,112 +173,6 @@ class TestProjectHyperplane:
         assert abs(f.score(p)) <= 1e-9 * (1.0 + np.linalg.norm(z))
 
 
-class TestProjectPolytope:
-    quadrant = PolytopeModerator((([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)))
-
-    def test_feasible_identity(self):
-        z = np.array([-0.5, -2.0])
-        np.testing.assert_array_equal(project_polytope(z, self.quadrant), z)
-
-    def test_corner(self):
-        np.testing.assert_allclose(project_polytope([1.0, 1.0], self.quadrant), [0.0, 0.0])
-
-    def test_single_active_face(self):
-        np.testing.assert_allclose(project_polytope([1.0, -1.0], self.quadrant), [0.0, -1.0])
-
-    def test_single_face_matches_hyperplane(self):
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            d = int(rng.integers(1, 5))
-            w = rng.normal(size=d)
-            if np.linalg.norm(w) < 1e-6:
-                w[0] = 1.0
-            b = float(rng.normal())
-            z = rng.normal(scale=2.0, size=d)
-            poly = PolytopeModerator(((w, b),))
-            lin = LinearModerator(w, b)
-            if poly.score(z) <= 1e-12:
-                continue
-            np.testing.assert_allclose(
-                project_polytope(z, poly), project_hyperplane(z, lin), atol=1e-10
-            )
-
-    def test_duplicate_faces_are_skipped_not_fatal(self):
-        # the {0,1} active set is rank-deficient and must be skipped silently
-        dup = PolytopeModerator((([1.0, 0.0], 0.0), ([2.0, 0.0], 0.0)))
-        np.testing.assert_allclose(project_polytope([1.0, 0.5], dup), [0.0, 0.5])
-
-    def test_faces_are_stacked_once_read_only(self):
-        poly = PolytopeModerator((([1.0, 2.0], -0.5), ([0.0, -1.0], 0.25)))
-        assert poly.normals is poly.normals and poly.offsets is poly.offsets
-        np.testing.assert_array_equal(poly.normals, [w for w, _ in poly.halfspaces])
-        np.testing.assert_array_equal(poly.offsets, [b for _, b in poly.halfspaces])
-        for arr in (poly.normals, poly.offsets):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 7.0
-
-    def test_empty_region_detected(self):
-        empty = PolytopeModerator((([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)))
-        # x1 <= -1 and x1 >= 1 simultaneously
-        with pytest.raises(EmptyBenignRegionError):
-            project_polytope([0.0, 0.0], empty)
-        with pytest.raises(EmptyBenignRegionError):
-            project_polytope([[0.0, 0.0], [3.0, 1.0]], empty)
-
-    def test_rows_match_one_point_reference(self):
-        # d 1-5, m 1-6 with repeated and parallel faces, feasible and infeasible rows
-        rng = np.random.default_rng(8)
-        feasible = 0
-        for _ in range(60):
-            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-            poly = random_polytope(rng, d, m)
-            Z = rng.normal(scale=2.0, size=(20, d))
-            P = project_polytope(Z, poly)
-            assert P.shape == Z.shape
-            for z, p in zip(Z, P):
-                ref = reference_project_polytope(z, poly)
-                np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(project_polytope(z, poly), p, rtol=0, atol=1e-12)
-            feasible += int(np.sum(poly.score_many(Z) <= 0))
-        assert 0 < feasible < 60 * 20
-
-    def test_feasible_rows_are_their_own_projection(self):
-        Z = np.array([[-0.5, -2.0], [1.0, 1.0], [0.0, -3.0], [2.0, -1.0]])
-        P = project_polytope(Z, self.quadrant)
-        np.testing.assert_array_equal(P[[0, 2]], Z[[0, 2]])
-        np.testing.assert_allclose(P[[1, 3]], [[0.0, 0.0], [0.0, -1.0]])
-
-    def test_equidistant_candidates_break_to_the_first_face(self):
-        # a wedge so thin that both faces' projections of (0, -1) are feasible
-        # within tolerance and mirror images at exactly equal distance
-        k = 1e-5
-        wedge = PolytopeModerator((([k, -1.0], 0.0), ([-k, -1.0], 0.0)))
-        Z = np.array([[0.0, -1.0], [3.0, 2.0]])
-        P = project_polytope(Z, wedge)
-        assert P[0, 0] < 0.0
-        np.testing.assert_array_equal(project_polytope(Z[0], wedge), P[0])
-        for z, p in zip(Z, P):
-            np.testing.assert_allclose(p, reference_project_polytope(z, wedge), rtol=0, atol=1e-12)
-
-    def test_random_polytopes_match_brute_force(self):
-        # independent oracle: dense grid minimization of |p - z| over feasible points
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            m = int(rng.integers(1, 4))
-            normals = rng.normal(size=(m, 2))
-            offsets = -np.abs(rng.normal(size=m)) - 0.2  # origin strictly feasible
-            poly = PolytopeModerator(tuple((normals[j], float(offsets[j])) for j in range(m)))
-            z = rng.normal(scale=2.0, size=2)
-            p = project_polytope(z, poly)
-            t = np.linspace(-6, 6, 481)
-            G1, G2 = np.meshgrid(t, t)
-            pts = np.column_stack([G1.ravel(), G2.ravel()])
-            feas = np.max(pts @ normals.T + offsets, axis=1) <= 1e-9
-            dists = np.sum((pts[feas] - z) ** 2, axis=1)
-            assert np.dot(p - z, p - z) <= float(np.min(dists)) + 1e-6
-
-
 class TestBestResponse:
     def test_unconstrained(self):
         u = UserProfile([0.0, 0.0], 0.5)
@@ -406,20 +289,12 @@ class TestBestResponse:
             r = best_response(u, e, f)
             assert r.utility == pytest.approx(utility(r.z_star, u, e, f), abs=1e-9)
 
-    def test_polytope_case_split(self):
-        box = PolytopeModerator((([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)))
-        inside = UserProfile([0.2, 0.0], 0.5)
-        r = best_response(inside, E10, box)
-        assert r.case_tag is ResponseCase.PROJECTED
-        np.testing.assert_allclose(r.z_star, [1.0, 0.0])
-
-
 class TestBestResponses:
     """The array pass against the per-user reference ``reference_best_response``."""
 
-    @pytest.mark.parametrize("kind", ["halfspace", "polytope", "trivial"])
+    @pytest.mark.parametrize("kind", ["halfspace", "trivial"])
     def test_matches_per_user_reference(self, kind):
-        rng = np.random.default_rng({"halfspace": 41, "polytope": 42, "trivial": 43}[kind])
+        rng = np.random.default_rng({"halfspace": 41, "trivial": 43}[kind])
         seen = set()
         for _ in range(40):
             pop, f = random_moderated_population(rng, kind)
@@ -446,23 +321,3 @@ class TestBestResponses:
         Z, cases = best_responses(cross, LinearModerator([0.0, 1.0], 0.0))
         assert cases[0] == ResponseCase.CROSS_TO_BOUNDARY
         np.testing.assert_allclose(Z, [[1.5, 0.0]])
-
-    def test_empty_polytope_region_detected(self):
-        empty = PolytopeModerator((([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)))
-        pop = Population.from_arrays([[0.0, 0.0]], [0.5], E10.e)
-        with pytest.raises(EmptyBenignRegionError):
-            best_responses(pop, empty)
-
-    def test_polytope_rows_are_projected_in_one_call(self, monkeypatch):
-        calls, project = [], model.project_polytope
-        monkeypatch.setattr(
-            model, "project_polytope", lambda z, f: calls.append(z) or project(z, f)
-        )
-        box = PolytopeModerator((([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)))
-        X = [[0.2, 0.0], [0.5, 0.5], [3.0, 0.0], [-4.0, 0.0]]
-        Z, cases = best_responses(Population.from_arrays(X, [0.5] * 4, E10.e), box)
-        assert len(calls) == 1 and calls[0].shape == (3, 2)
-        assert list(cases) == [
-            ResponseCase.PROJECTED, ResponseCase.PROJECTED,
-            ResponseCase.STAY_FILTERED, ResponseCase.UNCONSTRAINED,
-        ]

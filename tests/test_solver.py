@@ -22,7 +22,9 @@ from modbalance import (
     MixtureSpec,
     NonPositiveAError,
     Population,
+    ResponseCase,
     SolverConfig,
+    best_responses,
     calibrate_lambda,
     derive_seed,
     dm_closed_form_linear,
@@ -735,15 +737,19 @@ class TestSolveResultScores:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_metrics_report_is_the_scored_row(self, seed):
-        # the report reuses the row's DM bits and counts what the full
-        # best-response pass counts
+        # the report is ``metrics`` of the moderator, reuses the row's DM bits
+        # and counts what an independent best-response pass counts
         pop, named = self.results(seed)
+        n = pop.n
         for name, r in named.items():
-            m = metrics(pop, r.moderator)
+            _, cases = best_responses(pop, r.moderator)
+            desired = int(np.count_nonzero(cases == ResponseCase.UNCONSTRAINED))
+            filtered = int(np.count_nonzero(cases == ResponseCase.STAY_FILTERED))
+            assert r.metrics == metrics(pop, r.moderator), name
             assert r.metrics.dm == r.dm, name
-            assert r.metrics.n == m.n and r.metrics.filtered_count == m.filtered_count, name
-            assert r.metrics.fos_desired == m.fos_desired, name
-            assert r.metrics.fos_retained == m.fos_retained, name
+            assert (r.metrics.n, r.metrics.filtered_count) == (n, filtered), name
+            assert r.metrics.fos_desired == desired / n, name
+            assert r.metrics.fos_retained == (n - filtered) / n, name
 
 
 class TestSeeds:
