@@ -4,7 +4,7 @@ Users rewrite content toward a trend as far as a moderator's benign region
 allows; this package computes those best responses in closed form, measures
 the induced social distortion and free-speech indices, fits approximately
 optimal halfspace moderators via a smoothed penalized objective, and checks
-everything against exhaustive two-dimensional reference searches.
+everything against two-dimensional candidate-set reference searches.
 """
 
 from .model import *

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import operator
 import os
 import sys
 
@@ -33,13 +34,21 @@ from .solver import (
     pgd_solve,
     sweep_lambda,
 )
-from .svgplot import Series, render_plot
+from .svgplot import render_plot
 
 __all__ = ["run", "main"]
 
-# a solve record's columns ahead of its moderator's, in ``_result_fields`` order
-_RECORD_COLUMNS = ("dm,fos_desired,fos_retained,filtered_count,objective,iterations,"
-                   "converged,violations,penalty")
+# a solve record's columns ahead of its moderator's: (column, SolveResult field).
+# perfbench's tradeoff check reads the first six sweep columns by position, so
+# a new column goes at the end.
+_RECORD_COLUMNS = (
+    ("dm", "dm"), ("fos_desired", "metrics.fos_desired"),
+    ("fos_retained", "metrics.fos_retained"), ("filtered_count", "metrics.filtered_count"),
+    ("objective", "objective"), ("iterations", "iterations_used"), ("converged", "converged"),
+    ("violations", "violations"), ("penalty", "penalty"),
+)
+_RECORD_NAMES = ",".join(column for column, _ in _RECORD_COLUMNS)
+_record_values = operator.attrgetter(*(field for _, field in _RECORD_COLUMNS))
 # each job's key columns, ahead of its records' columns
 _LAMBDA = "lambda"
 _KEY_COLUMNS = {
@@ -215,27 +224,14 @@ def _solver_config(params: dict, lam: float, seed: int) -> SolverConfig:
 
 
 def _result_header(command: str, d: int) -> str:
-    """A job's header: its key columns, then the columns of ``_result_fields``."""
+    """A job's header: its key columns, then ``_RECORD_COLUMNS`` and the moderator's."""
     weights = [f"w_{j}" for j in range(d)]
-    return ",".join([*_KEY_COLUMNS[command], _RECORD_COLUMNS, *weights, "b"])
+    return ",".join([*_KEY_COLUMNS[command], _RECORD_NAMES, *weights, "b"])
 
 
 def _result_fields(result) -> tuple:
     """A solve record's columns: ``_RECORD_COLUMNS``, then its moderator's."""
-    m, f = result.metrics, result.moderator
-    return (
-        result.dm,
-        m.fos_desired,
-        m.fos_retained,
-        m.filtered_count,
-        result.objective,
-        result.iterations_used,
-        result.converged,
-        result.violations,
-        result.penalty,
-        *(float(v) for v in f.w),
-        float(f.b),
-    )
+    return (*_record_values(result), *result.moderator.w.tolist(), result.moderator.b)
 
 
 def _write_results(command: str, params: dict, d: int, rows: list[tuple]) -> None:
@@ -307,34 +303,26 @@ def _cmd_sweep(params: dict) -> int:
     # every dataset's spec and config first, so a bad seed fails before any solve
     jobs = [(s, _mixture_spec(params, s), _solver_config(params, lam=0.0, seed=s))
             for s in range(params["seed"], params["seed"] + params["seeds"])]
-    rows = []
+    records = []  # (lambda, seed, SolveResult)
     for s, spec, cfg in jobs:
         results = sweep_lambda(data_mod.generate(spec), lambdas, cfg)
-        rows.extend((lam, s, *_result_fields(r)) for lam, r in zip(lambdas, results))
+        records.extend((lam, s, r) for lam, r in zip(lambdas, results))
+    rows = [(lam, s, *_result_fields(r)) for lam, s, r in records]
     _write_results("sweep", params, params["d"], rows)
     if plot_out:
-        _write_sweep_plot(plot_out, lambdas, rows)
+        _write_sweep_plot(plot_out, lambdas, records)
     return 0
 
 
-def _write_sweep_plot(path: str, lambdas: list[float], rows: list[tuple]) -> None:
-    def series(label: str, column: int, color: str) -> Series:
-        """Mean and one-standard-deviation band of a sweep column per lambda."""
-        per_lam = {lam: [] for lam in lambdas}
-        for row in rows:
-            per_lam[row[0]].append(row[column])
-        means = [float(np.mean(per_lam[lam])) for lam in lambdas]
-        stds = [float(np.std(per_lam[lam])) for lam in lambdas]
-        return Series(label, tuple(lambdas), tuple(means),
-                      tuple(m - s for m, s in zip(means, stds)),
-                      tuple(m + s for m, s in zip(means, stds)), color)
+def _write_sweep_plot(path: str, lambdas: list[float], records: list[tuple]) -> None:
+    def band(value) -> tuple[list, list, list]:
+        """Mean and one-standard-deviation band of ``value(result)`` at each
+        lambda, pooled over every record of that lambda's value."""
+        pooled = [[value(r) for at, _, r in records if at == lam] for lam in lambdas]
+        stats = [(float(np.mean(v)), float(np.std(v))) for v in pooled]
+        return [m for m, _ in stats], [m - s for m, s in stats], [m + s for m, s in stats]
 
-    svg = render_plot(
-        series("distortion mitigation", 2, "#1f77b4"),
-        series("fraction retained", 4, "#e6a817"),
-        "mitigation / retained-content trade-off",
-        "penalty strength",
-    )
+    svg = render_plot(lambdas, band(lambda r: r.dm), band(lambda r: r.metrics.fos_retained))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
 
@@ -384,7 +372,7 @@ _EPILOG = (
               for command, keys in _KEY_COLUMNS.items())
     + f"  toy        {TOY_HEADER}\n"
     "where <record> is one solve record: its scores and counts, then its moderator\n"
-    f"  {_RECORD_COLUMNS},w_0,...,w_{{d-1}},b\n"
+    f"  {_RECORD_NAMES},w_0,...,w_{{d-1}},b\n"
 )
 
 

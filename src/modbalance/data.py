@@ -91,8 +91,8 @@ def save(pop: Population, path) -> None:
         "# trend = " + ",".join(_FLOAT % v for v in pop.trend.e),
         ",".join([f"x_{j}" for j in range(d)] + ["c"]),
     ]
-    row = ",".join([_FLOAT] * (d + 1))
-    lines.extend(row % tuple(r) for r in np.column_stack([pop.feature_matrix, pop.costs]).tolist())
+    rows = "\n".join([",".join([_FLOAT] * (d + 1))] * pop.n)
+    lines.append(rows % tuple(np.column_stack([pop.feature_matrix, pop.costs]).ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

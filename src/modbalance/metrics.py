@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BENIGN_TOL, LinearModerator, Moderator, Population, TrivialModerator
+from .model import BENIGN_TOL, LinearModerator, Population, TrivialModerator
 
 __all__ = ["MetricReport", "halfspace_scores", "dm_closed_form_linear", "metrics",
            "generalization_gap"]
@@ -48,8 +48,8 @@ class MetricReport:
     n: int
 
 
-# Candidates per block of ``halfspace_scores``: no (n, block) temporary holds
-# more than about this many entries, whatever n is.
+# Candidates per block of ``halfspace_scores``: an (n, block) temporary holds
+# at most this many entries, or n entries (one candidate) when n is larger.
 _SCORE_BLOCK_ENTRIES = 2**16
 
 
@@ -75,7 +75,7 @@ def halfspace_scores(
 
     Raises ValueError unless ``W`` is (k, d) with d = ``pop.d``, ``B`` is
     (k,), both are finite and every row of ``W`` is nonzero. Candidates are
-    scored in blocks, so memory stays bounded for any n.
+    scored in blocks, so no temporary holds more than max(2**16, n) entries.
     """
     X, e = pop.feature_matrix, pop.trend.e
     W = np.asarray(W, dtype=np.float64)
@@ -131,7 +131,7 @@ def dm_closed_form_linear(pop: Population, f: LinearModerator) -> float:
     return _halfspace_report(pop, f)[0].dm
 
 
-def metrics(pop: Population, f: Moderator) -> MetricReport:
+def metrics(pop: Population, f: LinearModerator | TrivialModerator) -> MetricReport:
     """Mitigation total plus both speech indices of a halfspace or ``TRIVIAL``.
 
     A halfspace is reported from its ``halfspace_scores`` row: ``fos_desired``
@@ -144,7 +144,7 @@ def metrics(pop: Population, f: Moderator) -> MetricReport:
 
 
 def generalization_gap(
-    train: Population, test: Population, f: Moderator
+    train: Population, test: Population, f: LinearModerator | TrivialModerator
 ) -> tuple[float, float]:
     """Per-capita mitigation gap and desired-speech gap between two samples."""
     if train.d != test.d:

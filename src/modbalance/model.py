@@ -26,9 +26,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 __all__ = [
-    "BENIGN_TOL", "UserProfile", "Trend", "Population", "Moderator", "LinearModerator",
-    "TrivialModerator", "TRIVIAL", "ResponseCase", "BestResponseResult", "ideal_point",
-    "project_hyperplane", "best_response", "best_responses",
+    "BENIGN_TOL", "UserProfile", "Trend", "Population", "LinearModerator", "TrivialModerator",
+    "TRIVIAL", "ResponseCase", "BestResponseResult", "ideal_point", "project_hyperplane",
+    "best_response", "best_responses",
 ]
 
 # Scores within this slack of zero count as benign, so points constructed on
@@ -208,9 +208,9 @@ class Population:
 
 
 class Moderator:
-    """Scoring interface of :class:`LinearModerator` and :class:`TrivialModerator`:
-    ``score(z) <= 0`` means ``z`` is benign; ``score_many`` gives the scores
-    (k,) of rows (k, d)."""
+    """Scoring shared by :class:`LinearModerator` and :class:`TrivialModerator`,
+    the only moderators (no extension point): ``score(z) <= 0`` means ``z`` is
+    benign; ``score_many`` gives the scores (k,) of rows (k, d)."""
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -234,6 +234,8 @@ class LinearModerator(Moderator):
         object.__setattr__(self, "b", float(self.b))
         if not np.any(np.abs(self.w) > 0):
             raise ValueError("moderator normal w must be nonzero")
+        if not np.isfinite(self.b):
+            raise ValueError(f"moderator offset b must be finite, got {self.b}")
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         return Z @ self.w + self.b
@@ -290,7 +292,8 @@ def project_hyperplane(z, f: LinearModerator) -> np.ndarray:
     return z - ((z @ f.w + f.b) / np.dot(f.w, f.w))[..., None] * f.w
 
 
-def best_response(u: UserProfile, e: Trend, f: Moderator) -> BestResponseResult:
+def best_response(u: UserProfile, e: Trend,
+                  f: LinearModerator | TrivialModerator) -> BestResponseResult:
     """Utility-maximizing rewrite of ``u.x`` against moderator ``f``: a
     one-row :func:`best_responses` call.
 
@@ -304,7 +307,8 @@ def best_response(u: UserProfile, e: Trend, f: Moderator) -> BestResponseResult:
     return BestResponseResult(z, case, filtered, gain - u.c * float(np.dot(z - u.x, z - u.x)))
 
 
-def best_responses(pop: Population, f: Moderator) -> tuple[np.ndarray, np.ndarray]:
+def best_responses(pop: Population,
+                   f: LinearModerator | TrivialModerator) -> tuple[np.ndarray, np.ndarray]:
     """Every user's utility-maximizing rewrite in one array pass: z* (n, d)
     and each user's :class:`ResponseCase` code (n,).
 

@@ -1,8 +1,9 @@
 """The sweep's trade-off plot as a self-contained SVG document.
 
-One plot: two series over a shared log10 x-axis, the first on the left
-y-axis and the second on the right. Each is drawn as a line over a shaded
-band and labelled on its axis and in the legend. Every x must be positive.
+One plot: distortion mitigation on the left y-axis and the fraction of
+content retained on the right, over the penalty strength on a shared log10
+x-axis. Each is drawn as a line over a shaded band and labelled on its axis
+and in the legend. Every x must be positive.
 
 Kept deliberately small so experiment outputs depend on nothing but this
 package; rendering is a pure function of the data (no timestamps), which
@@ -12,21 +13,13 @@ makes plot files byte-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["Series", "render_plot"]
+__all__ = ["render_plot"]
 
-
-@dataclass(frozen=True)
-class Series:
-    """One curve ``ys`` over ``xs`` with its shaded band from ``lo`` to ``hi``."""
-
-    label: str
-    xs: tuple
-    ys: tuple
-    lo: tuple
-    hi: tuple
-    color: str
+TITLE = "mitigation / retained-content trade-off"
+XLABEL = "penalty strength"
+# (label, colour) of the left-axis series, then of the right-axis one
+SERIES = (("distortion mitigation", "#1f77b4"), ("fraction retained", "#e6a817"))
 
 
 def _fmt(v) -> str:
@@ -62,17 +55,20 @@ def _axis_range(values):
     return lo - pad, hi + pad
 
 
-def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
-    """Render ``left`` on the left axis and ``right`` on the right axis to an
-    SVG 1.1 document string."""
+def render_plot(xs, left, right) -> str:
+    """Render the trade-off plot over ``xs`` to an SVG 1.1 document string.
+
+    ``left`` and ``right`` are each ``(ys, lo, hi)``: a curve over ``xs`` and
+    its shaded band, drawn on the left and the right axis.
+    """
     width, height = 720, 440
     margin_l, margin_r, margin_t, margin_b = 64.0, 64.0, 36.0, 48.0
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
-    series = (left, right)
+    series = [(label, color, *band) for (label, color), band in zip(SERIES, (left, right))]
 
-    x_lo, x_hi = _axis_range([math.log10(x) for s in series for x in s.xs])
-    ranges = [_axis_range([*s.ys, *s.lo, *s.hi]) for s in series]
+    x_lo, x_hi = _axis_range([math.log10(x) for x in xs])
+    ranges = [_axis_range([*ys, *lo, *hi]) for _, _, ys, lo, hi in series]
 
     def px(log_x: float) -> float:
         return margin_l + (log_x - x_lo) / (x_hi - x_lo) * plot_w
@@ -90,15 +86,15 @@ def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{_fmt(margin_l)}" y="{_fmt(margin_t)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>',
-        _text(width / 2, 20, 14, title),
+        _text(width / 2, 20, 14, TITLE),
     ]
 
     for tick in _ticks(x_lo, x_hi):
         parts.append(_line(px(tick), margin_t + plot_h, px(tick), margin_t + plot_h + 5))
         parts.append(_text(px(tick), margin_t + plot_h + 18, 11, f"{10 ** tick:.3g}"))
-    parts.append(_text(margin_l + plot_w / 2, height - 10.0, 12, xlabel))
+    parts.append(_text(margin_l + plot_w / 2, height - 10.0, 12, XLABEL))
 
-    for side, s in enumerate(series):
+    for side, (label, *_) in enumerate(series):
         lo, hi = ranges[side]
         edge = margin_l if side == 0 else margin_l + plot_w
         sign = -1.0 if side == 0 else 1.0
@@ -107,27 +103,22 @@ def render_plot(left: Series, right: Series, title: str, xlabel: str) -> str:
             y_px = py(tick, side)
             parts.append(_line(edge, y_px, edge + sign * 5, y_px))
             parts.append(_text(edge + sign * 8, y_px + 4, 11, f"{tick:.3g}", anchor))
-        parts.append(_text(edge + sign * 50, margin_t + plot_h / 2, 12, s.label,
+        parts.append(_text(edge + sign * 50, margin_t + plot_h / 2, 12, label,
                            rotate=int(sign * 90)))
 
-    for side, s in enumerate(series):
-        band = points(s.xs, s.hi, side) + points(s.xs[::-1], s.lo[::-1], side)
-        parts.append(
-            f'<polygon points="{" ".join(band)}" '
-            f'fill="{s.color}" fill-opacity="0.18" stroke="none"/>'
-        )
-    for side, s in enumerate(series):
-        parts.append(
-            f'<polyline points="{" ".join(points(s.xs, s.ys, side))}" fill="none" '
-            f'stroke="{s.color}" stroke-width="2"/>'
-        )
+    for side, (_, color, _, lo, hi) in enumerate(series):
+        band = points(xs, hi, side) + points(xs[::-1], lo[::-1], side)
+        parts.append(f'<polygon points="{" ".join(band)}" '
+                     f'fill="{color}" fill-opacity="0.18" stroke="none"/>')
+    for side, (_, color, ys, _, _) in enumerate(series):
+        parts.append(f'<polyline points="{" ".join(points(xs, ys, side))}" fill="none" '
+                     f'stroke="{color}" stroke-width="2"/>')
 
-    legend_y = margin_t + 14
-    for i, s in enumerate(series):
-        y = legend_y + 16 * i
+    for i, (label, color, *_) in enumerate(series):
+        y = margin_t + 14 + 16 * i
         parts.append(_line(margin_l + 8, y - 4, margin_l + 28, y - 4,
-                           f'stroke="{s.color}" stroke-width="2"'))
-        parts.append(_text(margin_l + 34, y, 11, s.label, anchor=None))
+                           f'stroke="{color}" stroke-width="2"'))
+        parts.append(_text(margin_l + 34, y, 11, label, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -241,6 +241,25 @@ class TestSweep:
         assert svg_first.startswith(b"<svg ")
         assert b"polyline" in svg_first and b"polygon" in svg_first
 
+    def test_plot_bands_are_per_lambda_mean_and_std_of_csv_columns(self, tmp_path, monkeypatch):
+        # a repeated lambda pools every row of that value into each of its points
+        drawn = []
+        monkeypatch.setattr(cli, "render_plot", lambda *args: drawn.append(args) or "")
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--out", str(out), "--plot", "--lambdas", "0.5,5.0,0.5",
+                    "--seeds", "2", "--d", "2", "--n", "20", "--k", "2", "--restarts", "2",
+                    "--max-iters", "150"]) == 0
+        [(xs, *bands)] = drawn
+        assert list(xs) == [0.5, 5.0, 0.5]
+        rows = result_rows(out)
+        assert len(rows) == 2 * 3
+        for column, (means, lo, hi) in zip(["dm", "fos_retained"], bands):
+            for i, lam in enumerate(xs):
+                values = [float(r[column]) for r in rows if float(r["lambda"]) == lam]
+                assert len(values) == (4 if lam == 0.5 else 2)
+                mean, std = float(np.mean(values)), float(np.std(values))
+                assert (means[i], lo[i], hi[i]) == (mean, mean - std, mean + std)
+
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_no_seeds_exits_two_without_output(self, tmp_path, capsys, seeds):
         out = tmp_path / "s.csv"

@@ -48,6 +48,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             LinearModerator([0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_offset_rejected(self, b):
+        with pytest.raises(ValueError, match="offset b must be finite"):
+            LinearModerator(np.ones(2), b)
+
     def test_population_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Population.from_arrays([[1.0]], [1.0], E10.e)
