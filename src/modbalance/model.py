@@ -232,7 +232,7 @@ class LinearModerator(Moderator):
     def __post_init__(self):
         object.__setattr__(self, "w", _as_vector(self.w, "w"))
         object.__setattr__(self, "b", float(self.b))
-        if not np.any(np.abs(self.w) > 0):
+        if not np.sum(self.w * self.w) > 0:  # |w|^2, as halfspace_scores tests it
             raise ValueError("moderator normal w must be nonzero")
         if not np.isfinite(self.b):
             raise ValueError(f"moderator offset b must be finite, got {self.b}")

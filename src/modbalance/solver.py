@@ -18,11 +18,14 @@ however far the ideal point x + e/2c lies past the boundary. Its lam is
 therefore not the lam of the exact penalized objective -DM + lam * penalty,
 whose penalty charges the squared hinge of every filtered *ideal point*. The
 sum is minimized by projected gradient descent under the box |w_j| <= 1, all
-restarts at once as the rows of an (R, d + 1) iterate [w | b], each row with
-its own step. A trial point the Armijo rule rejects halves the step. One it
-accepts sets the next step to the Barzilai-Borwein step of the move just made
-(the spectral projected gradient of Birgin, Martinez and Raydan, 2000), or
-grows the step by 1.5 where the move saw no positive curvature.
+restarts at once as the rows of one iterate [w | b], each row with its own
+step; a sweep runs every restart of every lam of its grid as one iterate,
+each row with its own lam too. A trial point the Armijo rule rejects halves
+the step. One it accepts sets the next step to the Barzilai-Borwein step of
+the move just made (the spectral projected gradient of Birgin, Martinez and
+Raydan, 2000), or grows the step by 1.5 where the move saw no positive
+curvature. The iterate is evaluated in blocks of rows small enough to stay in
+cache, and every step is rowwise, so a row gets the bits it gets alone.
 
 ``polish_penalized`` minimizes the exact penalized objective
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
@@ -160,8 +163,10 @@ class SolveResult:
     converged: bool
 
 
-def _branch_terms(y: np.ndarray, a: np.ndarray, eps: float, lam: float):
+def _branch_terms(y: np.ndarray, a: np.ndarray, eps: float, lam):
     """Loss values, dl/dy and dl/dy + dl/da, elementwise for 1-D or 2-D arrays; a > 0.
+
+    ``lam`` is a scalar or, for 2-D arrays, an (R, 1) column of row lams.
 
     The middle and right branches share the gap g = y - a: with k = lam where
     g > 0 and 1 otherwise, the value is k g^2 - a^2 (the middle branch's
@@ -198,13 +203,35 @@ def surrogate_loss(y: float, a: float, cfg: SolverConfig) -> float:
     return float(values[0])
 
 
-def _objective_and_gradient(Z, X, e, half_inv_cost, cfg: SolverConfig):
+def _objective_and_gradient(Z, X, e, half_inv_cost, eps: float, lam):
     """Summed surrogate loss and its exact gradient at R points at once.
 
     Row r of ``Z`` (R, d + 1) is one point [w | b]; ``half_inv_cost`` is
-    1/(2c) per user. Returns the objectives (R,) and the gradients G (R, d + 1)
-    in the same layout. Both y and a depend on w (da/dw = e/(2c)); only y
-    depends on b, so G's b entry is the sum of dl/dy and its w part is
+    1/(2c) per user and ``lam`` a scalar or an (R, 1) column, row r's lam.
+    Returns the objectives (R,) and the gradients G (R, d + 1) in the same
+    layout. Rows are evaluated in blocks of ``_block_rows(n)`` rows, so each
+    (rows, n) temporary holds at most max(``_PGD_BLOCK_ENTRIES``, n) entries.
+    A block splits rows, never users, and each row gets the bits it gets
+    alone (``_evaluate_rows``), so blocking moves no bit.
+    """
+    R = Z.shape[0]
+    size = _block_rows(X.shape[0])
+    if R <= size:
+        return _evaluate_rows(Z, X, e, half_inv_cost, eps, lam)
+    column = np.ndim(lam) > 0
+    obj, G = np.empty(R), np.empty_like(Z)
+    for start in range(0, R, size):
+        block = slice(start, start + size)
+        obj[block], G[block] = _evaluate_rows(Z[block], X, e, half_inv_cost, eps,
+                                              lam[block] if column else lam)
+    return obj, G
+
+
+def _evaluate_rows(Z, X, e, half_inv_cost, eps: float, lam):
+    """``_objective_and_gradient`` of rows that fit in one block, all at once.
+
+    Both y and a depend on w (da/dw = e/(2c)); only y depends on b, so G's b
+    entry is the sum of dl/dy and its w part is
     X^T dl/dy + e sum_i (dl/dy + dl/da)_i / (2c_i). Where the floor is active
     (a_raw < ``_A_MIN``), a is held constant: its chain-rule term drops out and
     the sum is dl/dy alone.
@@ -223,7 +250,7 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, cfg: SolverConfig):
     floored = floor.any()
     a = np.maximum(a_raw, _A_MIN) if floored else a_raw
 
-    values, dl_dy, dl_dsum = _branch_terms(y, a, cfg.epsilon, cfg.lam)
+    values, dl_dy, dl_dsum = _branch_terms(y, a, eps, lam)
     if floored:
         np.copyto(dl_dsum, dl_dy, where=floor)
 
@@ -240,7 +267,7 @@ def surrogate_gradient(
     """Exact gradient of the summed surrogate loss over the population."""
     Z = np.append(np.asarray(w, dtype=np.float64), float(b))[None, :]
     _, G = _objective_and_gradient(
-        Z, pop.feature_matrix, pop.trend.e, 1.0 / (2.0 * pop.costs), cfg)
+        Z, pop.feature_matrix, pop.trend.e, 1.0 / (2.0 * pop.costs), cfg.epsilon, cfg.lam)
     return G[0, :-1], float(G[0, -1])
 
 
@@ -290,6 +317,16 @@ _STEP_MIN = 1e-10
 _STEP_MAX = 1e10
 _TOL_GRAD = 1e-8
 _A_MIN = 1e-6
+# Entries (rows x users) per evaluation block of ``_objective_and_gradient``,
+# 8 rows at n = 500: there a row costs least in blocks of 8-16 rows, whose
+# (rows, n) temporaries stay in cache; 2**13 ran the tradeoff sweep no faster
+# and doubled its peak of traced allocations, and larger blocks ran it slower.
+_PGD_BLOCK_ENTRIES = 2**12
+
+
+def _block_rows(n: int) -> int:
+    """Rows per evaluation block at n users: ``_PGD_BLOCK_ENTRIES`` entries, at least one row."""
+    return max(1, _PGD_BLOCK_ENTRIES // n)
 
 
 def _clip(x, lo, hi):
@@ -307,6 +344,65 @@ def _stationary(Z, G, n: int, cfg: SolverConfig) -> np.ndarray:
     P = (Z - _clip(Z - (cfg.learning_rate / n) * G, -1.0, 1.0)) / cfg.learning_rate
     P[:, -1] = G[:, -1] / n
     return np.sqrt(_rowdot(P, P)) <= _TOL_GRAD
+
+
+def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[SolveResult]:
+    """The solve of ``pgd_solve`` at each lam of ``lams``, all in one iterate.
+
+    Group j is the ``cfg.restarts`` rows of the solve at lam = ``lams[j]``,
+    started as ``pgd_solve`` starts them under seed ``derive_seed(cfg.seed, j)``.
+    Each row carries its own lam and every step below is rowwise, so group j
+    gets the bits of its own solve, and the loop runs as many trials as its
+    slowest group needs, not their sum. With one group lam stays a scalar.
+    Returns each group's winner, in the order of ``lams``.
+    """
+    X, e = pop.feature_matrix, pop.trend.e
+    n, d = X.shape
+    R = cfg.restarts
+    half_inv_cost = 1.0 / (2.0 * pop.costs)
+    upper = np.append(np.ones(d), np.inf)
+    starts = [replace(cfg, seed=derive_seed(cfg.seed, j)) for j in range(len(lams))]
+    Z = np.array([np.append(w, b) for w, b in
+                  (_initial_point(r, start, X, e) for start in starts for r in range(R))])
+    grouped = len(lams) > 1
+    lam = np.repeat(np.asarray(lams, dtype=np.float64), R)[:, None] if grouped else lams[0]
+    # rows only drop out, so rows that start in one block (8 restarts do at
+    # n <= 512) are evaluated without the split at every trial
+    fits = Z.shape[0] <= _block_rows(n)
+    evaluate = _evaluate_rows if fits else _objective_and_gradient
+    obj, G = evaluate(Z, X, e, half_inv_cost, cfg.epsilon, lam)
+    iterations = np.zeros(Z.shape[0], dtype=np.int64)
+    converged = _stationary(Z, G, n, cfg)
+
+    step = np.full(Z.shape[0], cfg.learning_rate)
+    for trials in range(1, cfg.max_iters + 1):
+        rows = np.flatnonzero(~converged)
+        if rows.size == 0:
+            break
+        Zr, Gr, t = Z.take(rows, axis=0), G.take(rows, axis=0), step.take(rows)
+        Z_try = _clip(Zr - (t / n)[:, None] * Gr, -upper, upper)
+        obj_try, G_try = evaluate(Z_try, X, e, half_inv_cost, cfg.epsilon,
+                                  lam.take(rows, axis=0) if grouped else lam)
+        move = Z_try - Zr
+        ok = obj_try <= obj.take(rows) + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
+        ss, sy = _rowdot(move, move), _rowdot(move, G_try - Gr)
+        curved = sy > 0
+        spectral = _clip(n * ss / np.where(curved, sy, 1.0), _STEP_MIN, _STEP_MAX)
+        step[rows] = np.where(ok, np.where(curved, spectral, t * _STEP_GROW), t * _STEP_SHRINK)
+        moved, Z_ok, G_ok = rows[ok], Z_try[ok], G_try[ok]
+        Z[moved], G[moved], obj[moved] = Z_ok, G_ok, obj_try[ok]
+        converged[moved] = _stationary(Z_ok, G_ok, n, cfg)
+        iterations[rows] = trials
+
+    results = []
+    for first in range(0, Z.shape[0], R):
+        nonzero = first + np.flatnonzero(np.any(np.abs(Z[first:first + R, :-1]) > 0, axis=1))
+        if nonzero.size == 0:
+            raise DegenerateSolutionError("all restarts collapsed to w = 0; re-seed")
+        r = nonzero[np.argmin(obj[nonzero])]
+        results.append(_solve_result(pop, Z[r, :-1], Z[r, -1], obj[r], iterations[r],
+                                     converged[r]))
+    return results
 
 
 def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
@@ -327,41 +423,10 @@ def pgd_solve(pop: Population, cfg: SolverConfig) -> SolveResult:
     ``max_iters`` trials. The first lowest objective with w != 0 wins. Each
     restart's state is held once, in arrays indexed by restart: a trial gathers
     the running rows, writes the accepted trials back and tests only those.
+    This is the one-group case of the iterate ``sweep_lambda`` runs
+    (``_pgd_rows``).
     """
-    X, e = pop.feature_matrix, pop.trend.e
-    n, d = X.shape
-    half_inv_cost = 1.0 / (2.0 * pop.costs)
-    upper = np.append(np.ones(d), np.inf)
-    Z = np.array([np.append(w, b) for w, b in
-                  (_initial_point(r, cfg, X, e) for r in range(cfg.restarts))])
-    obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg)
-    iterations = np.zeros(cfg.restarts, dtype=np.int64)
-    converged = _stationary(Z, G, n, cfg)
-
-    step = np.full(cfg.restarts, cfg.learning_rate)
-    for trials in range(1, cfg.max_iters + 1):
-        rows = np.flatnonzero(~converged)
-        if rows.size == 0:
-            break
-        Zr, Gr, t = Z.take(rows, axis=0), G.take(rows, axis=0), step.take(rows)
-        Z_try = _clip(Zr - (t / n)[:, None] * Gr, -upper, upper)
-        obj_try, G_try = _objective_and_gradient(Z_try, X, e, half_inv_cost, cfg)
-        move = Z_try - Zr
-        ok = obj_try <= obj.take(rows) + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
-        ss, sy = _rowdot(move, move), _rowdot(move, G_try - Gr)
-        curved = sy > 0
-        spectral = _clip(n * ss / np.where(curved, sy, 1.0), _STEP_MIN, _STEP_MAX)
-        step[rows] = np.where(ok, np.where(curved, spectral, t * _STEP_GROW), t * _STEP_SHRINK)
-        moved, Z_ok, G_ok = rows[ok], Z_try[ok], G_try[ok]
-        Z[moved], G[moved], obj[moved] = Z_ok, G_ok, obj_try[ok]
-        converged[moved] = _stationary(Z_ok, G_ok, n, cfg)
-        iterations[rows] = trials
-
-    nonzero = np.flatnonzero(np.any(np.abs(Z[:, :-1]) > 0, axis=1))
-    if nonzero.size == 0:
-        raise DegenerateSolutionError("all restarts collapsed to w = 0; re-seed")
-    r = nonzero[np.argmin(obj[nonzero])]
-    return _solve_result(pop, Z[r, :-1], Z[r, -1], obj[r], iterations[r], converged[r])
+    return _pgd_rows(pop, cfg, [cfg.lam])[0]
 
 
 # Pattern search over the normal's direction: rotation step (radians) at the
@@ -555,10 +620,14 @@ def calibrate_lambda(
 
 
 def sweep_lambda(pop: Population, lambdas, cfg: SolverConfig) -> list[SolveResult]:
-    """Independent solve per lambda, returned in grid order; seeds offset
-    deterministically by index."""
-    configs = [replace(cfg, lam=float(lam), seed=derive_seed(cfg.seed, j))
-               for j, lam in enumerate(lambdas)]  # a bad lambda fails before any solve
-    if not configs:
+    """One solve per lambda, returned in grid order: record j is
+    ``pgd_solve(pop, replace(cfg, lam=lambdas[j], seed=derive_seed(cfg.seed, j)))``
+    bit for bit. Every lambda is checked before any solve, then the whole grid
+    runs as one iterate, every restart of every lambda a row of it, so the
+    sweep takes as many trials as its slowest lambda needs."""
+    lams = [float(lam) for lam in lambdas]
+    if not lams:
         raise ValueError("lambdas must be nonempty")
-    return [pgd_solve(pop, sub) for sub in configs]
+    for lam in lams:
+        _require_lambda(lam)
+    return _pgd_rows(pop, cfg, lams)

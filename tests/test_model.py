@@ -48,6 +48,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             LinearModerator([0.0, 0.0], 1.0)
 
+    def test_normal_whose_square_underflows_rejected(self):
+        # |w|^2 underflows to 0, so halfspace_scores would call it a zero normal
+        with pytest.raises(ValueError, match="normal w must be nonzero"):
+            LinearModerator(np.array([1e-200, 0.0]), 0.5)
+
     @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
     def test_nonfinite_offset_rejected(self, b):
         with pytest.raises(ValueError, match="offset b must be finite"):

@@ -2,7 +2,7 @@
 
 import hashlib
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ from modbalance import (
 from modbalance.model import _stream
 from modbalance.solver import (
     _A_MIN,
+    _PGD_BLOCK_ENTRIES,
     _TOL_GRAD,
     _branch_terms,
     _exact_offsets,
@@ -375,12 +376,19 @@ class TestBatchedRestarts:
             Z = np.column_stack([rng.uniform(-1.0, 1.0, (R, d)), rng.normal(size=R)])
             Z[0, :d] *= -1.0 if Z[0, :d] @ e > 0 else 1.0  # w.e <= 0: the floor applies
             Z[-1, case % d] = 1.0  # a coordinate on the box
-            obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg)
+            obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, cfg.lam)
+            lam = rng.choice([0.0, 0.1, 10.0, 100.0], size=(R, 1))  # each row its own lam
+            obj_col, G_col = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, lam)
             for r in range(R):
                 row = Z[r:r + 1].copy()
-                one_obj, one_G = _objective_and_gradient(row, X, e, half_inv_cost, cfg)
+                one_obj, one_G = _objective_and_gradient(row, X, e, half_inv_cost,
+                                                         cfg.epsilon, cfg.lam)
                 assert one_obj.tobytes() == obj[r:r + 1].tobytes()
                 assert one_G.tobytes() == G[r:r + 1].tobytes()
+                one_obj, one_G = _objective_and_gradient(row, X, e, half_inv_cost,
+                                                         cfg.epsilon, float(lam[r, 0]))
+                assert one_obj.tobytes() == obj_col[r:r + 1].tobytes()
+                assert one_G.tobytes() == G_col[r:r + 1].tobytes()
 
 
 class TestArmijoStep:
@@ -657,6 +665,38 @@ class TestSweep:
         assert len(results) == len(grid)
         for j, (lam, r) in enumerate(zip(grid, results)):
             assert r == pgd_solve(pop, replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j)))
+
+    # (d, n, k, restarts, overrides, grid): every d with every restart count;
+    # a capped run; lam = 0 and a repeated lam in a grid; at n = 700 a block
+    # holds 5 rows, so groups of 3 straddle blocks; at n = 4097 one row is
+    # wider than a block
+    _GROUPED = {
+        f"d{d}_r{restarts}": (d, 120, 3, restarts, {}, [0.3, 3.0, 30.0])
+        for d in (2, 5, 10) for restarts in (1, 3, 8)
+    } | {
+        "capped": (5, 300, 5, 4, {"max_iters": 100}, [0.1, 1.0, 10.0, 100.0]),
+        "lam_zero": (3, 150, 3, 3, {}, [0.0, 1.0, 10.0]),
+        "repeated": (3, 150, 3, 3, {}, [1.0, 10.0, 1.0, 10.0]),
+        "straddling_blocks": (5, 700, 5, 3, {}, [0.1, 1.0, 10.0, 100.0]),
+        "row_wider_than_block": (2, _PGD_BLOCK_ENTRIES + 1, 17, 2, {"max_iters": 60},
+                                 [0.5, 5.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_GROUPED))
+    def test_each_record_is_its_own_pgd_solve(self, name):
+        d, n, k, restarts, overrides, grid = self._GROUPED[name]
+        pop = generate(MixtureSpec(d=d, n=n, k=k, seed=n + d))
+        cfg = SolverConfig(restarts=restarts, seed=d, **overrides)
+        results = sweep_lambda(pop, grid, cfg)
+        assert len(results) == len(grid)
+        for j, (lam, got) in enumerate(zip(grid, results)):
+            want = pgd_solve(pop, replace(cfg, lam=lam, seed=derive_seed(cfg.seed, j)))
+            for field in fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), (j, field.name)
+            assert got.moderator.w.tobytes() == want.moderator.w.tobytes()
+            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        if name == "capped":
+            assert not all(r.converged for r in results)
 
     def test_rejects_bad_grids(self):
         pop = generate(MixtureSpec(d=2, n=10, k=2, seed=0))
