@@ -111,7 +111,7 @@ _SCHEMAS = {
         "data": ("str", None),
         "out": ("str", None),
         "mode": ("str", "constrained"),
-        "lam": ("float", 1.0),
+        "lam": ("float", SolverConfig.lam),
         "max_violations": _ORACLE["K"],
         **{key: spec for key, spec in _ORACLE.items() if key != "K"},
     },
@@ -131,7 +131,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        return data_mod._FLOAT % value
     if isinstance(value, list):
         return ",".join(_fmt(float(v)) for v in value)
     return str(value)
@@ -310,11 +310,13 @@ def _cmd_sweep(params: dict) -> int:
     rows = [(lam, s, *_result_fields(r)) for lam, s, r in records]
     _write_results("sweep", params, params["d"], rows)
     if plot_out:
-        _write_sweep_plot(plot_out, lambdas, records)
+        _write_sweep_plot(plot_out, records)
     return 0
 
 
-def _write_sweep_plot(path: str, lambdas: list[float], records: list[tuple]) -> None:
+def _write_sweep_plot(path: str, records: list[tuple]) -> None:
+    lambdas = sorted({lam for lam, _, _ in records})  # so the line never runs back
+
     def band(value) -> tuple[list, list, list]:
         """Mean and one-standard-deviation band of ``value(result)`` at each
         lambda, pooled over every record of that lambda's value."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Population, _require_int, _require_seed, _stream
+from .model import Population, _require_int, _require_positive, _require_seed, _stream
 
 __all__ = ["MixtureSpec", "DatasetFormatError", "generate", "save", "load"]
 
@@ -28,7 +28,7 @@ _STREAM_SIGMAS = 1
 _STREAM_POINTS = 2
 _STREAM_COSTS = 3
 
-# every float in a dataset file: 17 significant digits round-trip a float64
+# every float the package writes (datasets, CLI outputs): 17 digits round-trip a float64
 _FLOAT = "%.17g"
 
 
@@ -58,12 +58,14 @@ class MixtureSpec:
     def __post_init__(self):
         for name in ("d", "n", "k"):
             _require_int(name, getattr(self, name), 1)
+        for name in ("sigma_lo", "sigma_hi", "c_lo", "c_hi"):
+            _require_positive(name, getattr(self, name))
         _require_seed(self.seed)
         if self.n % self.k != 0:
             raise ValueError(f"k = {self.k} must divide n = {self.n}")
-        if not 0 < self.sigma_lo <= self.sigma_hi:
+        if self.sigma_lo > self.sigma_hi:
             raise ValueError("need 0 < sigma_lo <= sigma_hi")
-        if not 0 < self.c_lo <= self.c_hi:
+        if self.c_lo > self.c_hi:
             raise ValueError("need 0 < c_lo <= c_hi")
 
 

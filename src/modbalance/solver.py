@@ -173,9 +173,9 @@ def _branch_terms(y: np.ndarray, a: np.ndarray, eps: float, lam):
     y^2 - 2ay is g^2 - a^2), dl/dy is 2 k g and dl/dy + dl/da is -2a; k g is
     formed as g + (lam - 1) max(g, 0). The left branch, q = (1-eps^2)^2 a^3 /
     den with den = 2 eps y + beta a, is computed only on the users left of
-    (1-eps) a, where den < 0, and skipped when there are none: there
-    dl/dy = -2 eps q / den and dl/dy + dl/da = q (3/a - (2 eps + beta)/den).
-    Every output is elementwise, so a row gets the bits it gets alone.
+    (1-eps) a, where den < 0: there dl/dy = -2 eps q / den and
+    dl/dy + dl/da = q (3/a - (2 eps + beta)/den). Every output is
+    elementwise, so a row gets the bits it gets alone.
     """
     beta = 3.0 * (1.0 - eps) ** 2 - 4.0 * (1.0 - eps)
     gap = y - a
@@ -184,13 +184,12 @@ def _branch_terms(y: np.ndarray, a: np.ndarray, eps: float, lam):
     dl_dy = 2.0 * kgap
     dl_dsum = -2.0 * a
     left = np.flatnonzero(y < (1.0 - eps) * a)
-    if left.size:
-        yl, al = y.take(left), a.take(left)
-        den = 2.0 * eps * yl + beta * al
-        q = (1.0 - eps**2) ** 2 * (al * al * al) / den
-        values.put(left, q)
-        dl_dy.put(left, -2.0 * eps * q / den)
-        dl_dsum.put(left, q * (3.0 / al - (2.0 * eps + beta) / den))
+    yl, al = y.take(left), a.take(left)
+    den = 2.0 * eps * yl + beta * al
+    q = (1.0 - eps**2) ** 2 * (al * al * al) / den
+    values.put(left, q)
+    dl_dy.put(left, -2.0 * eps * q / den)
+    dl_dsum.put(left, q * (3.0 / al - (2.0 * eps + beta) / den))
     return values, dl_dy, dl_dsum
 
 
@@ -209,26 +208,9 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, eps: float, lam):
     Row r of ``Z`` (R, d + 1) is one point [w | b]; ``half_inv_cost`` is
     1/(2c) per user and ``lam`` a scalar or an (R, 1) column, row r's lam.
     Returns the objectives (R,) and the gradients G (R, d + 1) in the same
-    layout. Rows are evaluated in blocks of ``_block_rows(n)`` rows, so each
-    (rows, n) temporary holds at most max(``_PGD_BLOCK_ENTRIES``, n) entries.
-    A block splits rows, never users, and each row gets the bits it gets
-    alone (``_evaluate_rows``), so blocking moves no bit.
-    """
-    R = Z.shape[0]
-    size = _block_rows(X.shape[0])
-    if R <= size:
-        return _evaluate_rows(Z, X, e, half_inv_cost, eps, lam)
-    column = np.ndim(lam) > 0
-    obj, G = np.empty(R), np.empty_like(Z)
-    for start in range(0, R, size):
-        block = slice(start, start + size)
-        obj[block], G[block] = _evaluate_rows(Z[block], X, e, half_inv_cost, eps,
-                                              lam[block] if column else lam)
-    return obj, G
-
-
-def _evaluate_rows(Z, X, e, half_inv_cost, eps: float, lam):
-    """``_objective_and_gradient`` of rows that fit in one block, all at once.
+    layout. Rows beyond max(1, ``_PGD_BLOCK_ENTRIES`` // n) are split into
+    blocks of that many, each evaluated by a call of its own, so no (rows, n)
+    temporary holds more than max(``_PGD_BLOCK_ENTRIES``, n) entries.
 
     Both y and a depend on w (da/dw = e/(2c)); only y depends on b, so G's b
     entry is the sum of dl/dy and its w part is
@@ -239,14 +221,26 @@ def _evaluate_rows(Z, X, e, half_inv_cost, eps: float, lam):
     Per-user terms are laid out (R, n) and each product with X or e is a
     stacked matmul over contiguous rows, which numpy runs as one
     matrix-vector product per row: each row gets the bits it would get
-    alone. That matters because objectives near zero are ill-conditioned (a
-    user's y can be a 1e-6 difference of O(1) scores); one matrix-matrix
-    product sums in another order and moves them by up to 6e-10 relative.
+    alone, so blocking moves no bit either. That matters because objectives
+    near zero are ill-conditioned (a user's y can be a 1e-6 difference of
+    O(1) scores); one matrix-matrix product sums in another order and moves
+    them by up to 6e-10 relative.
     """
+    R, size = Z.shape[0], max(1, _PGD_BLOCK_ENTRIES // X.shape[0])
+    if R > size:
+        column = np.ndim(lam) > 0
+        obj, G = np.empty(R), np.empty_like(Z)
+        for start in range(0, R, size):
+            block = slice(start, start + size)
+            obj[block], G[block] = _objective_and_gradient(
+                Z[block], X, e, half_inv_cost, eps, lam[block] if column else lam)
+        return obj, G
     W = np.ascontiguousarray(Z[:, :-1])
     a_raw = np.matmul(W[:, None, :], e) * half_inv_cost
     y = np.matmul(X, W[:, :, None])[:, :, 0] + Z[:, -1:] + a_raw
     floor = a_raw < _A_MIN
+    # the floor is active in 31 of 2342 evaluations of the tradeoff sweeps and in
+    # 238 of 11 304 of calibrate's, so the guard skips its two passes in ~98% of calls
     floored = floor.any()
     a = np.maximum(a_raw, _A_MIN) if floored else a_raw
 
@@ -321,12 +315,8 @@ _A_MIN = 1e-6
 # 8 rows at n = 500: there a row costs least in blocks of 8-16 rows, whose
 # (rows, n) temporaries stay in cache; 2**13 ran the tradeoff sweep no faster
 # and doubled its peak of traced allocations, and larger blocks ran it slower.
+# ``metrics._SCORE_BLOCK_ENTRIES`` is 16 times larger on purpose: it says why.
 _PGD_BLOCK_ENTRIES = 2**12
-
-
-def _block_rows(n: int) -> int:
-    """Rows per evaluation block at n users: ``_PGD_BLOCK_ENTRIES`` entries, at least one row."""
-    return max(1, _PGD_BLOCK_ENTRIES // n)
 
 
 def _clip(x, lo, hi):
@@ -354,6 +344,8 @@ def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[Sol
     Each row carries its own lam and every step below is rowwise, so group j
     gets the bits of its own solve, and the loop runs as many trials as its
     slowest group needs, not their sum. With one group lam stays a scalar.
+    Every trial evaluates its running rows by one ``_objective_and_gradient``
+    call, which splits them into blocks only when they outgrow one.
     Returns each group's winner, in the order of ``lams``.
     """
     X, e = pop.feature_matrix, pop.trend.e
@@ -364,13 +356,12 @@ def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[Sol
     starts = [replace(cfg, seed=derive_seed(cfg.seed, j)) for j in range(len(lams))]
     Z = np.array([np.append(w, b) for w, b in
                   (_initial_point(r, start, X, e) for start in starts for r in range(R))])
+    # one group (pgd_solve, so every calibrate solve) keeps lam a scalar: on an
+    # (8, 500) block an (8, 1) column's broadcast multiply in _branch_terms took
+    # 8-9 us against 4-5, of the block's ~120-us evaluation (2 cores, numpy 2.4)
     grouped = len(lams) > 1
     lam = np.repeat(np.asarray(lams, dtype=np.float64), R)[:, None] if grouped else lams[0]
-    # rows only drop out, so rows that start in one block (8 restarts do at
-    # n <= 512) are evaluated without the split at every trial
-    fits = Z.shape[0] <= _block_rows(n)
-    evaluate = _evaluate_rows if fits else _objective_and_gradient
-    obj, G = evaluate(Z, X, e, half_inv_cost, cfg.epsilon, lam)
+    obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, lam)
     iterations = np.zeros(Z.shape[0], dtype=np.int64)
     converged = _stationary(Z, G, n, cfg)
 
@@ -381,8 +372,8 @@ def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[Sol
             break
         Zr, Gr, t = Z.take(rows, axis=0), G.take(rows, axis=0), step.take(rows)
         Z_try = _clip(Zr - (t / n)[:, None] * Gr, -upper, upper)
-        obj_try, G_try = evaluate(Z_try, X, e, half_inv_cost, cfg.epsilon,
-                                  lam.take(rows, axis=0) if grouped else lam)
+        obj_try, G_try = _objective_and_gradient(Z_try, X, e, half_inv_cost, cfg.epsilon,
+                                                 lam.take(rows, axis=0) if grouped else lam)
         move = Z_try - Zr
         ok = obj_try <= obj.take(rows) + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
         ss, sy = _rowdot(move, move), _rowdot(move, G_try - Gr)

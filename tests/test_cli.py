@@ -242,7 +242,8 @@ class TestSweep:
         assert b"polyline" in svg_first and b"polygon" in svg_first
 
     def test_plot_bands_are_per_lambda_mean_and_std_of_csv_columns(self, tmp_path, monkeypatch):
-        # a repeated lambda pools every row of that value into each of its points
+        # each distinct lambda is drawn once, in increasing order, and pools
+        # every row of that value
         drawn = []
         monkeypatch.setattr(cli, "render_plot", lambda *args: drawn.append(args) or "")
         out = tmp_path / "sweep.csv"
@@ -250,7 +251,7 @@ class TestSweep:
                     "--seeds", "2", "--d", "2", "--n", "20", "--k", "2", "--restarts", "2",
                     "--max-iters", "150"]) == 0
         [(xs, *bands)] = drawn
-        assert list(xs) == [0.5, 5.0, 0.5]
+        assert list(xs) == [0.5, 5.0]
         rows = result_rows(out)
         assert len(rows) == 2 * 3
         for column, (means, lo, hi) in zip(["dm", "fos_retained"], bands):
@@ -461,7 +462,13 @@ class TestExitCodes:
         ("oracle", "out = o.csv\nmax_violations = -1\n", ["--data", "pop.csv"],
          "2: K must be at least 0, got -1"),
         ("toy", "out = t.csv\nc = 0\n", [], "2: manipulation cost c must be positive, got 0.0"),
-    ], ids=["generate_n", "solve_restarts", "calibrate_delta", "oracle_max_violations", "toy_c"])
+        ("generate", "n = 10\nsigma_lo = -1\n", [],
+         "2: sigma_lo must be positive and finite, got -1.0"),
+        ("generate", "sigma_hi = inf\n", [], "1: sigma_hi must be positive and finite, got inf"),
+        ("generate", "c_lo = 0\n", [], "1: c_lo must be positive and finite, got 0.0"),
+        ("generate", "n = 10\nc_hi = inf\n", [], "2: c_hi must be positive and finite, got inf"),
+    ], ids=["generate_n", "solve_restarts", "calibrate_delta", "oracle_max_violations", "toy_c",
+            "generate_sigma_lo", "generate_sigma_hi", "generate_c_lo", "generate_c_hi"])
     def test_config_setting_errors_name_file_and_line(
         self, tmp_path, capsys, monkeypatch, command, text, flags, message
     ):
@@ -477,7 +484,8 @@ class TestExitCodes:
         ("n = 10\n", ["--n", "0"], "n must be at least 1, got 0"),
         ("n = 10\nk = 3\n", [], "k = 3 must divide n = 10"),
         ("c_lo = 2.0\n", [], "need 0 < c_lo <= c_hi"),
-    ], ids=["flag_replaces_line", "k_divides_n", "c_lo_le_c_hi"])
+        ("n = 10\n", ["--sigma-hi", "inf"], "sigma_hi must be positive and finite, got inf"),
+    ], ids=["flag_replaces_line", "k_divides_n", "c_lo_le_c_hi", "flag_sigma_hi_inf"])
     def test_flag_and_cross_field_errors_name_no_line(
         self, tmp_path, capsys, text, flags, message
     ):

@@ -262,6 +262,30 @@ class TestHalfspaceScores:
             for got, single in zip(batch, halfspace_scores(pop, W[k : k + 1], B[k : k + 1])):
                 assert abs(got[k] - single[0]) <= 1e-12 * (1 + abs(single[0]))
 
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_rows_score_alike_at_every_block_size(self, monkeypatch, d):
+        # at n = 100, 16 entries per block score one row per block, 2**12 score
+        # 40 and 2**16 all 2000. The counts keep their bits at every size; dm
+        # and penalty keep them only at one row per block, because a larger
+        # block forms its scores by one matrix-matrix product and sums them
+        # down strided columns, which moves them in their last bits.
+        rng = np.random.default_rng(d)
+        pop, _ = random_instance(rng, n=100, d=d)
+        W = rng.normal(size=(2000, d))
+        B = rng.normal(scale=1.5 * np.sqrt(d), size=2000)
+        one_row = [np.concatenate(column) for column in zip(
+            *(halfspace_scores(pop, W[k : k + 1], B[k : k + 1]) for k in range(2000)))]
+        for size in (16, 2**12, 2**16):
+            monkeypatch.setattr(metrics_mod, "_SCORE_BLOCK_ENTRIES", size)
+            dm, penalty, violations, filtered = halfspace_scores(pop, W, B)
+            assert violations.tobytes() == one_row[2].tobytes()
+            assert filtered.tobytes() == one_row[3].tobytes()
+            for got, want in ((dm, one_row[0]), (penalty, one_row[1])):
+                if size == 16:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
 
 class TestMetrics:
     def test_trivial(self):
