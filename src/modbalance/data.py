@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Population, _require_int, _require_positive, _require_seed, _stream
+from .model import (Population, SettingError, _require_int, _require_positive, _require_seed,
+                    _stream)
 
 __all__ = ["MixtureSpec", "DatasetFormatError", "generate", "save", "load"]
 
@@ -70,14 +71,22 @@ class MixtureSpec:
 
 
 def generate(spec: MixtureSpec) -> Population:
-    """Draw a population from the mixture; fully determined by spec.seed."""
+    """Draw a population from the mixture; fully determined by spec.seed.
+
+    A noise scale so large that some drawn feature overflows is rejected as
+    a ``SettingError`` on ``sigma_hi``, the larger end of the scale range.
+    """
     centers = _stream(spec.seed, _STREAM_CENTERS).standard_normal((spec.k, spec.d))
     sigmas = _stream(spec.seed, _STREAM_SIGMAS).uniform(
         spec.sigma_lo, spec.sigma_hi, spec.k
     )
     m = spec.n // spec.k
     noise = _stream(spec.seed, _STREAM_POINTS).standard_normal((spec.k, m, spec.d))
-    X = (centers[:, None, :] + sigmas[:, None, None] * noise).reshape(spec.n, spec.d)
+    with np.errstate(over="ignore"):
+        X = (centers[:, None, :] + sigmas[:, None, None] * noise).reshape(spec.n, spec.d)
+    if not np.isfinite(X).all():
+        raise SettingError("sigma_hi", f"sigma_hi = {spec.sigma_hi} overflows a drawn feature; "
+                                       "every feature must be finite")
     costs = _stream(spec.seed, _STREAM_COSTS).uniform(spec.c_lo, spec.c_hi, spec.n)
     trend = np.zeros(spec.d)
     trend[0] = 1.0

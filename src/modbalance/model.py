@@ -19,7 +19,7 @@ one-row call of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -103,8 +103,21 @@ def _stream(seed: int, stream: int) -> Generator:
     return Generator(Philox(key=np.array([int(seed), stream], dtype=np.uint64)))
 
 
+class _FieldEquality:
+    """Equality of dataclasses holding arrays: field by field, arrays by
+    ``np.array_equal`` and the rest by ``==``; another type is
+    ``NotImplemented``. Defining ``__eq__`` leaves the types unhashable."""
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+
 @dataclass(frozen=True, eq=False)
-class UserProfile:
+class UserProfile(_FieldEquality):
     """One content creator: original feature vector ``x`` and cost ``c > 0``."""
 
     x: np.ndarray
@@ -120,14 +133,9 @@ class UserProfile:
     def d(self) -> int:
         return self.x.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, UserProfile):
-            return NotImplemented
-        return self.c == other.c and np.array_equal(self.x, other.x)
-
 
 @dataclass(frozen=True, eq=False)
-class Trend:
+class Trend(_FieldEquality):
     """A global trend direction; alignment with it is the user's payoff."""
 
     e: np.ndarray
@@ -141,14 +149,9 @@ class Trend:
     def d(self) -> int:
         return self.e.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, Trend):
-            return NotImplemented
-        return np.array_equal(self.e, other.e)
-
 
 @dataclass(frozen=True, eq=False)
-class Population:
+class Population(_FieldEquality):
     """An ordered set of users sharing one trend direction, held as arrays.
 
     Row i of ``feature_matrix`` (n, d) and entry i of ``costs`` (n,) are user
@@ -197,15 +200,6 @@ class Population:
         """Per-user view, built on every access, for by-definition references."""
         return tuple(UserProfile(x, c) for x, c in zip(self.feature_matrix, self.costs))
 
-    def __eq__(self, other):
-        if not isinstance(other, Population):
-            return NotImplemented
-        return (
-            self.trend == other.trend
-            and np.array_equal(self.feature_matrix, other.feature_matrix)
-            and np.array_equal(self.costs, other.costs)
-        )
-
 
 class Moderator:
     """Scoring shared by :class:`LinearModerator` and :class:`TrivialModerator`,
@@ -223,7 +217,7 @@ class Moderator:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearModerator(Moderator):
+class LinearModerator(_FieldEquality, Moderator):
     """Halfspace moderator: benign region {z : w.z + b <= 0}."""
 
     w: np.ndarray
@@ -239,11 +233,6 @@ class LinearModerator(Moderator):
 
     def score_many(self, Z: np.ndarray) -> np.ndarray:
         return Z @ self.w + self.b
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearModerator):
-            return NotImplemented
-        return self.b == other.b and np.array_equal(self.w, other.w)
 
 
 class TrivialModerator(Moderator):

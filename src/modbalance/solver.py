@@ -19,12 +19,12 @@ therefore not the lam of the exact penalized objective -DM + lam * penalty,
 whose penalty charges the squared hinge of every filtered *ideal point*. The
 sum is minimized by projected gradient descent under the box |w_j| <= 1, all
 restarts at once as the rows of one iterate [w | b], each row with its own
-step; a sweep runs every restart of every lam of its grid as one iterate,
-each row with its own lam too. A trial point the Armijo rule rejects halves
-the step. One it accepts sets the next step to the Barzilai-Borwein step of
-the move just made (the spectral projected gradient of Birgin, Martinez and
-Raydan, 2000), or grows the step by 1.5 where the move saw no positive
-curvature. The iterate is evaluated in blocks of rows small enough to stay in
+step and its own lam, held as a column; a sweep runs every restart of every
+lam of its grid as one iterate, and a single solve is its one-lam case. A
+trial point the Armijo rule rejects halves the step. One it accepts sets the
+next step to the Barzilai-Borwein step of the move just made (the spectral
+projected gradient of Birgin, Martinez and Raydan, 2000), or grows the step
+by 1.5 where the move saw no positive curvature. The iterate is evaluated in blocks of rows small enough to stay in
 cache, and every step is rowwise, so a row gets the bits it gets alone.
 
 ``polish_penalized`` minimizes the exact penalized objective
@@ -96,7 +96,7 @@ class SolverConfig:
     grad_b / n together have norm at most ``_TOL_GRAD``. That tolerance and
     the floor ``_A_MIN`` on a, which keeps the branch formulas defined where
     w.e <= 0, are module constants: numerical guards, not modelling choices,
-    so no caller tunes them. Geometry (the y values) is never floored.
+    so no caller tunes them. The floor never applies to geometry (the y values).
     """
 
     epsilon: float = 0.9
@@ -238,15 +238,9 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, eps: float, lam):
     W = np.ascontiguousarray(Z[:, :-1])
     a_raw = np.matmul(W[:, None, :], e) * half_inv_cost
     y = np.matmul(X, W[:, :, None])[:, :, 0] + Z[:, -1:] + a_raw
-    floor = a_raw < _A_MIN
-    # the floor is active in 31 of 2342 evaluations of the tradeoff sweeps and in
-    # 238 of 11 304 of calibrate's, so the guard skips its two passes in ~98% of calls
-    floored = floor.any()
-    a = np.maximum(a_raw, _A_MIN) if floored else a_raw
-
+    a = np.maximum(a_raw, _A_MIN)
     values, dl_dy, dl_dsum = _branch_terms(y, a, eps, lam)
-    if floored:
-        np.copyto(dl_dsum, dl_dy, where=floor)
+    np.copyto(dl_dsum, dl_dy, where=a_raw < _A_MIN)
 
     G = np.empty_like(Z)
     G[:, :-1] = np.matmul(X.T, dl_dy[:, :, None])[:, :, 0]
@@ -276,18 +270,15 @@ def lambda_max(pop: Population) -> float:
 
 
 def _initial_point(
-    r: int, cfg: SolverConfig, X: np.ndarray, e: np.ndarray
+    r: int, seed: int, restarts: int, X: np.ndarray, e: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Trend-facing start: w along e (plus per-restart noise), boundary at a
-    data quantile so restarts probe different cuts through the mass."""
-    rng = _stream(cfg.seed, r)
-    direction = e.copy()
-    if r > 0:
-        direction = direction + rng.normal(scale=0.3, size=e.shape[0])
-    if not np.any(np.abs(direction) > 0):
-        direction = e.copy()
+    """Restart r of ``restarts`` under ``seed``: w along the trend e (plus noise
+    from stream (seed, r) for r > 0), boundary at a data quantile so restarts
+    probe different cuts through the mass. e is nonzero and the noise a
+    continuous draw, so the direction is never zero."""
+    direction = e if r == 0 else e + _stream(seed, r).normal(scale=0.3, size=e.shape[0])
     w = direction / np.max(np.abs(direction))
-    q = (r + 1) / (cfg.restarts + 1)
+    q = (r + 1) / (restarts + 1)
     b = -float(np.quantile(X @ w, q))
     return w, b
 
@@ -340,12 +331,13 @@ def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[Sol
     """The solve of ``pgd_solve`` at each lam of ``lams``, all in one iterate.
 
     Group j is the ``cfg.restarts`` rows of the solve at lam = ``lams[j]``,
-    started as ``pgd_solve`` starts them under seed ``derive_seed(cfg.seed, j)``.
-    Each row carries its own lam and every step below is rowwise, so group j
-    gets the bits of its own solve, and the loop runs as many trials as its
-    slowest group needs, not their sum. With one group lam stays a scalar.
-    Every trial evaluates its running rows by one ``_objective_and_gradient``
-    call, which splits them into blocks only when they outgrow one.
+    restart r started by ``_initial_point`` under seed
+    ``derive_seed(cfg.seed, j)``. Every row carries its own lam, in one
+    (rows, 1) column however many groups there are, and every step below is
+    rowwise, so group j gets the bits of its own solve, and the loop runs as
+    many trials as its slowest group needs, not their sum. Every trial
+    evaluates its running rows by one ``_objective_and_gradient`` call,
+    which splits them into blocks only when they outgrow one.
     Returns each group's winner, in the order of ``lams``.
     """
     X, e = pop.feature_matrix, pop.trend.e
@@ -353,14 +345,9 @@ def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[Sol
     R = cfg.restarts
     half_inv_cost = 1.0 / (2.0 * pop.costs)
     upper = np.append(np.ones(d), np.inf)
-    starts = [replace(cfg, seed=derive_seed(cfg.seed, j)) for j in range(len(lams))]
-    Z = np.array([np.append(w, b) for w, b in
-                  (_initial_point(r, start, X, e) for start in starts for r in range(R))])
-    # one group (pgd_solve, so every calibrate solve) keeps lam a scalar: on an
-    # (8, 500) block an (8, 1) column's broadcast multiply in _branch_terms took
-    # 8-9 us against 4-5, of the block's ~120-us evaluation (2 cores, numpy 2.4)
-    grouped = len(lams) > 1
-    lam = np.repeat(np.asarray(lams, dtype=np.float64), R)[:, None] if grouped else lams[0]
+    Z = np.array([np.append(*_initial_point(r, derive_seed(cfg.seed, j), R, X, e))
+                  for j in range(len(lams)) for r in range(R)])
+    lam = np.repeat(np.asarray(lams, dtype=np.float64), R)[:, None]
     obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, lam)
     iterations = np.zeros(Z.shape[0], dtype=np.int64)
     converged = _stationary(Z, G, n, cfg)
@@ -373,7 +360,7 @@ def _pgd_rows(pop: Population, cfg: SolverConfig, lams: list[float]) -> list[Sol
         Zr, Gr, t = Z.take(rows, axis=0), G.take(rows, axis=0), step.take(rows)
         Z_try = _clip(Zr - (t / n)[:, None] * Gr, -upper, upper)
         obj_try, G_try = _objective_and_gradient(Z_try, X, e, half_inv_cost, cfg.epsilon,
-                                                 lam.take(rows, axis=0) if grouped else lam)
+                                                 lam.take(rows, axis=0))
         move = Z_try - Zr
         ok = obj_try <= obj.take(rows) + _ARMIJO_SIGMA * _rowdot(Gr, move)  # nan/inf trials fail
         ss, sy = _rowdot(move, move), _rowdot(move, G_try - Gr)

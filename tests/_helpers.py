@@ -272,7 +272,7 @@ def reference_restart(r, cfg, X, costs, e):
     ``max_iters`` trials.
     """
     n = X.shape[0]
-    w, b = _initial_point(r, cfg, X, e)
+    w, b = _initial_point(r, cfg.seed, cfg.restarts, X, e)
     obj, grad_w, grad_b = single_objective_and_gradient(w, b, X, costs, e, cfg)
     t = cfg.learning_rate
     iterations = fallbacks = 0

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import hashlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,8 +469,11 @@ class TestExitCodes:
         ("generate", "sigma_hi = inf\n", [], "1: sigma_hi must be positive and finite, got inf"),
         ("generate", "c_lo = 0\n", [], "1: c_lo must be positive and finite, got 0.0"),
         ("generate", "n = 10\nc_hi = inf\n", [], "2: c_hi must be positive and finite, got inf"),
+        ("generate", "n = 20\nk = 2\nsigma_lo = 1e300\nsigma_hi = 1e308\n", [],
+         "4: sigma_hi = 1e+308 overflows a drawn feature; every feature must be finite"),
     ], ids=["generate_n", "solve_restarts", "calibrate_delta", "oracle_max_violations", "toy_c",
-            "generate_sigma_lo", "generate_sigma_hi", "generate_c_lo", "generate_c_hi"])
+            "generate_sigma_lo", "generate_sigma_hi", "generate_c_lo", "generate_c_hi",
+            "generate_sigma_hi_overflows"])
     def test_config_setting_errors_name_file_and_line(
         self, tmp_path, capsys, monkeypatch, command, text, flags, message
     ):
@@ -485,7 +490,10 @@ class TestExitCodes:
         ("n = 10\nk = 3\n", [], "k = 3 must divide n = 10"),
         ("c_lo = 2.0\n", [], "need 0 < c_lo <= c_hi"),
         ("n = 10\n", ["--sigma-hi", "inf"], "sigma_hi must be positive and finite, got inf"),
-    ], ids=["flag_replaces_line", "k_divides_n", "c_lo_le_c_hi", "flag_sigma_hi_inf"])
+        ("n = 20\nk = 2\n", ["--sigma-lo", "1e300", "--sigma-hi", "1e308"],
+         "sigma_hi = 1e+308 overflows a drawn feature; every feature must be finite"),
+    ], ids=["flag_replaces_line", "k_divides_n", "c_lo_le_c_hi", "flag_sigma_hi_inf",
+            "flag_sigma_hi_overflows"])
     def test_flag_and_cross_field_errors_name_no_line(
         self, tmp_path, capsys, text, flags, message
     ):
@@ -615,3 +623,39 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
         assert run(["sweep", "--help"]) == 0
+
+
+# The README's command-line jobs, in its order, each with its outputs' sha256.
+# The sweep adds --seeds 2 to stay quick. fit.csv and cal.csv are the only
+# outputs of a single-lambda solve; the sweep's records come from the
+# grid-as-one-iterate path, so together they pin both callers of the solver.
+_README_JOBS = [
+    ("generate --seed 7 --out pop.csv", {
+        "pop.csv": "a23e09aa0b42b1d01ffe2fde6dd6a2a9c776982d5aa83c92ae6cd19262e04c62"}),
+    ("solve --data pop.csv --lambda 1.0 --out fit.csv", {
+        "fit.csv": "37e488920ff92556ae8133bb7700dcadc41e97c67de2327938188206820d467f"}),
+    ("calibrate --data pop.csv --max-violations 25 --out cal.csv", {
+        "cal.csv": "3d7d8f2c1d3ca96c1a663dc93cae29d741fb98d3ba2d4f77a7349353d27ce4b1"}),
+    ("sweep --out sweep.csv --plot", {
+        "sweep.csv": "055f800845dfc6bec3f3bd74c08c6c50355cd1183111366d93de451c15fb9b6f",
+        "sweep.svg": "e7976e659d4a140db16a38d31b90ad99571cfb8d7810f598ab4ea048557e389b"}),
+    ("generate --seed 7 --d 2 --n 50 --k 5 --out pop2.csv", {
+        "pop2.csv": "7f0859ac9d96efcb95318401837739140281477ee627b35b36f25dde2e23bb4c"}),
+    ("oracle --data pop2.csv --mode penalized --lambda 1.0 --out oracle.csv", {
+        "oracle.csv": "30efd0ad71cff46de7f038d3f1d9df9b5485e82b5f1884d1a06d425002529e92"}),
+    ("toy --out toy.csv", {
+        "toy.csv": "0b374e2c9bac5e7b59026e80b777f1eb20fa1b84db99bae6a6b92f771cdb51f1"}),
+]
+
+
+def test_readme_jobs_keep_their_bytes(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [line[len("modbalance "):] for line in readme.splitlines()
+                if line.startswith("modbalance ")]
+    assert commands == [command for command, _ in _README_JOBS]
+    monkeypatch.chdir(tmp_path)
+    for command, digests in _README_JOBS:
+        extra = ["--seeds", "2"] if command.startswith("sweep") else []
+        assert run(command.split() + extra) == 0, command
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

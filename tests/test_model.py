@@ -122,6 +122,30 @@ class TestPopulation:
         assert a != Population.from_arrays(self.X, self.costs * 2.0, E10.e)
         assert a != Population.from_arrays(self.X[:2], self.costs[:2], E10.e)
         assert a != Population.from_arrays(self.X, self.costs, [0.0, 1.0])
+        assert a != Population.from_arrays(self.X + 1.0, self.costs, E10.e)
+        assert a != a.trend and a.__eq__(a.trend) is NotImplemented
+
+        u = UserProfile([0.5, -1.0], 2.0)
+        assert u == UserProfile(np.array([0.5, -1.0]), 2)
+        assert u != UserProfile([0.5, -1.5], 2.0)
+        assert u != UserProfile([0.5, -1.0], 3.0)
+        assert u != UserProfile([0.5, -1.0, 0.0], 2.0)
+        assert u != E10 and u.__eq__(E10) is NotImplemented
+
+        assert E10 == Trend(np.array([1, 0]))
+        assert E10 != Trend([0.0, 1.0])
+        assert E10 != Trend([1.0, 0.0, 0.0])
+        assert E10 != u and E10.__eq__(u) is NotImplemented
+
+        f = LinearModerator([1.0, 2.0], -0.5)
+        assert f == LinearModerator(np.array([1, 2]), -0.5)
+        assert f != LinearModerator([1.0, 2.5], -0.5)
+        assert f != LinearModerator([1.0, 2.0], 0.5)
+        assert f != TRIVIAL and f.__eq__(TRIVIAL) is NotImplemented
+
+        for value in (a, u, E10, f):
+            with pytest.raises(TypeError):
+                hash(value)
 
 
 class TestIdealPoint:

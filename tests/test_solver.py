@@ -403,7 +403,7 @@ class TestArmijoStep:
             )
             cfg = SolverConfig(lam=[0.1, 10.0, 1e4][case % 3], restarts=1, seed=case)
             X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
-            w, b = _initial_point(0, cfg, X, e)
+            w, b = _initial_point(0, cfg.seed, cfg.restarts, X, e)
             previous, _, _ = single_objective_and_gradient(w, b, X, costs, e, cfg)
             for k in range(1, 41):
                 res = pgd_solve(pop, replace(cfg, max_iters=k))
