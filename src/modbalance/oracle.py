@@ -14,6 +14,19 @@ re-scores the winner by one ``halfspace_scores`` row, as every solver's
 result does, and its ``objective`` is computed from that row, so it agrees
 exactly with the record's ``dm`` and ``penalty``.
 
+Users move only along the trend e, so a candidate whose normal has w.e <= 0
+mitigates nothing: each user's trend advance s_i = w.e/(2c_i) is <= 0, so the
+ideal point's score y_i = v_i + s_i never exceeds the origin's v_i, and no
+user has a benign origin and a filtered ideal point. Its DM is exactly 0 and
+its penalized objective lam * penalty is >= 0. Each oracle therefore scores
+the trend-side candidates (w.e > 0) first, and the rest only when no
+trend-side candidate beats that bound strictly: a negative penalized
+objective, or a positive DM within the cap. Either way one argmin or argmax
+runs over every candidate in its order, so the pick is the one a full scan
+makes, ties to the first index included, up to the last bits of batch sums
+(``halfspace_scores`` rounds a row by the rows that share its block).
+``iterations_used`` stays the size of the candidate set.
+
 The candidate grids are nested under doubling of their step counts, so
 refining the search can only improve the reported best.
 """
@@ -109,11 +122,36 @@ def _require_plane(pop: Population):
         raise ValueError(f"oracle search requires d = 2, got d = {pop.d}")
 
 
+def _scores(pop: Population, W: np.ndarray, B: np.ndarray, decided) -> list[np.ndarray]:
+    """DM, penalty and violation count of every candidate, trend side first.
+
+    The rows with w.e > 0 are scored first. The rest are scored only if
+    ``decided(dm, penalty, violations)`` of the first rows is False.
+    Otherwise they keep DM = 0, their exact value, and penalty = violations =
+    0, lower bounds under which they still lose to the decided winner: J = 0
+    against J < 0, or DM = 0 against DM > 0.
+    """
+    ahead = W @ pop.trend.e > 0
+    first = halfspace_scores(pop, W[ahead], B[ahead])[:3]
+    scores = [np.zeros(W.shape[0], dtype=part.dtype) for part in first]
+    for full, part in zip(scores, first):
+        full[ahead] = part
+    if not decided(*first):
+        for full, part in zip(scores, halfspace_scores(pop, W[~ahead], B[~ahead])[:3]):
+            full[~ahead] = part
+    return scores
+
+
 def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
-    """Best mitigation over all candidates meeting the violation cap K."""
+    """Best mitigation over all candidates meeting the violation cap K.
+
+    If a trend-side candidate (w.e > 0) within the cap has DM > 0, the other
+    candidates, whose DM is exactly 0, are not scored.
+    """
     _require_plane(pop)
     W, B = _candidates(pop, cfg)
-    dm, _, violations, _ = halfspace_scores(pop, W, B)
+    dm, _, violations = _scores(
+        pop, W, B, lambda dm, _, violations: np.any((violations <= cfg.K) & (dm > 0)))
     feasible = violations <= cfg.K
     if not np.any(feasible):
         least = int(np.argmin(violations))
@@ -130,11 +168,15 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
-    """The best of its candidate set on -mitigation + lam * squared hinges."""
+    """The best of its candidate set on -mitigation + lam * squared hinges.
+
+    If a trend-side candidate (w.e > 0) scores below 0, the other candidates,
+    which score lam * penalty >= 0, are not scored.
+    """
     _require_plane(pop)
     _require_lambda(lam)
     W, B = _candidates(pop, cfg)
-    dm, penalty, _, _ = halfspace_scores(pop, W, B)
+    dm, penalty, _ = _scores(pop, W, B, lambda dm, penalty, _: np.any(-dm + lam * penalty < 0))
     best = int(np.argmin(-dm + lam * penalty))
     return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
 

@@ -150,7 +150,7 @@ class SolveResult:
     its trial evaluations, accepted or rejected, and whether the returned
     point passes the stationarity test. For ``polish_penalized`` they are the
     poll count and whether the step fell below its tolerance, and for the
-    oracles the number of candidates scored and ``True``.
+    oracles the size of the candidate set and ``True``.
     """
 
     moderator: LinearModerator
@@ -501,7 +501,8 @@ def _pattern_search(pop: Population, w: np.ndarray, b: float, J: float, lam: flo
 def _exact_result(pop: Population, w, b, lam, iterations, converged) -> SolveResult:
     """(w, b)'s SolveResult, objective -dm + lam * penalty of its own row (-dm if lam is None)."""
     result = _solve_result(pop, w, b, 0.0, iterations, converged)
-    objective = -result.dm if lam is None else -result.dm + lam * result.penalty
+    # 0.0 - dm, not -dm: a record with DM = 0 prints objective 0, not -0
+    objective = 0.0 - result.dm if lam is None else -result.dm + lam * result.penalty
     return replace(result, objective=objective)
 
 

@@ -1,8 +1,8 @@
 """Shared test oracles: the per-user best response, utility and mitigation
 by definition, exhaustive utility grids, regime sampling, random moderated
 populations, the ideal-point hinge and the exact penalized objective, the
-oracle's candidate set built by nested loops, and PGD run one restart at a
-time."""
+oracle's candidate set built by nested loops, the d = 2 oracles as full
+scans, and PGD run one restart at a time."""
 
 import numpy as np
 
@@ -10,14 +10,17 @@ from modbalance import (
     BENIGN_TOL,
     BestResponseResult,
     LinearModerator,
+    NoFeasibleCandidateError,
     Population,
     ResponseCase,
     TRIVIAL,
     dm_closed_form_linear,
+    halfspace_scores,
     ideal_point,
     project_hyperplane,
 )
-from modbalance.solver import _A_MIN, _TOL_GRAD, _branch_terms, _initial_point
+from modbalance.oracle import _candidates
+from modbalance.solver import _A_MIN, _TOL_GRAD, _branch_terms, _exact_result, _initial_point
 
 
 def utility(z, u, e, f):
@@ -237,6 +240,33 @@ def loop_candidates(pop, cfg):
                 ws.extend([w, -w])
                 bs.extend([b, -b])
     return np.vstack(ws), np.array(bs)
+
+
+def reference_oracle_2d(pop, cfg):
+    """``oracle_2d`` as a full scan: one ``halfspace_scores`` call over every candidate."""
+    W, B = _candidates(pop, cfg)
+    dm, _, violations, _ = halfspace_scores(pop, W, B)
+    feasible = violations <= cfg.K
+    if not np.any(feasible):
+        least = int(np.argmin(violations))
+        raise NoFeasibleCandidateError(
+            f"no candidate satisfies the cap K = {cfg.K}; "
+            f"best candidate violates {int(violations[least])}",
+            w=W[least],
+            b=float(B[least]),
+            violations=int(violations[least]),
+        )
+    masked = np.where(feasible, dm, -np.inf)
+    best = int(np.argmax(masked))
+    return _exact_result(pop, W[best], B[best], None, W.shape[0], True)
+
+
+def reference_oracle_penalized_2d(pop, lam, cfg):
+    """``oracle_penalized_2d`` as a full scan: one ``halfspace_scores`` call over every candidate."""
+    W, B = _candidates(pop, cfg)
+    dm, penalty, _, _ = halfspace_scores(pop, W, B)
+    best = int(np.argmin(-dm + lam * penalty))
+    return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
 
 
 def single_objective_and_gradient(w, b, X, costs, e, cfg):

@@ -643,6 +643,8 @@ _README_JOBS = [
         "pop2.csv": "7f0859ac9d96efcb95318401837739140281477ee627b35b36f25dde2e23bb4c"}),
     ("oracle --data pop2.csv --mode penalized --lambda 1.0 --out oracle.csv", {
         "oracle.csv": "30efd0ad71cff46de7f038d3f1d9df9b5485e82b5f1884d1a06d425002529e92"}),
+    ("oracle --data pop2.csv --mode constrained --max-violations 5 --out oracle_k5.csv", {
+        "oracle_k5.csv": "bd4329e4fb720439c5da4929020bfee0dddd7f9931c3f93a386281167f440fb8"}),
     ("toy --out toy.csv", {
         "toy.csv": "0b374e2c9bac5e7b59026e80b777f1eb20fa1b84db99bae6a6b92f771cdb51f1"}),
 ]

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from _helpers import hinge_penalty, hinge_violations, loop_candidates
+import _helpers
+import modbalance.oracle
+from _helpers import (hinge_penalty, hinge_violations, loop_candidates, reference_oracle_2d,
+                      reference_oracle_penalized_2d)
 from modbalance import (
     LinearModerator,
     MixtureSpec,
+    NoFeasibleCandidateError,
     OracleConfig,
     Population,
     SolverConfig,
     dm_closed_form_linear,
     generate,
+    halfspace_scores,
     oracle_2d,
     oracle_penalized_2d,
     pgd_solve,
@@ -58,6 +63,13 @@ class TestOracle2d:
             pop = generate(MixtureSpec(d=2, n=20, k=2, seed=seed))
             res = oracle_2d(pop, cfg)
             assert hinge_violations(pop, res.moderator) <= k_cap
+
+    def test_objective_at_zero_mitigation_is_positive_zero(self):
+        # -dm would print as -0 in the CLI's objective column
+        pop = generate(MixtureSpec(d=2, n=50, k=5, seed=7))
+        res = oracle_2d(pop, OracleConfig(K=0))
+        assert res.dm == 0.0
+        assert not np.signbit(res.objective)
 
     def test_zero_cap_is_always_feasible(self):
         # anti-trend directions give violation-free candidates, so K = 0 works
@@ -145,6 +157,88 @@ def test_objective_is_computed_from_the_returned_record(seed):
         assert res.objective == -res.dm + lam * res.penalty
         polished = polish_penalized(pop, res.moderator, lam)
         assert polished.objective == -polished.dm + lam * polished.penalty
+
+
+def _trend_populations():
+    """The README's d = 2 population, data seeds 0-9, LINE3, and a population
+    each with trend (-1, 0) and (0.6, 0.8)."""
+    readme = generate(MixtureSpec(d=2, n=50, k=5, seed=7))
+    yield "readme", readme
+    for seed in range(10):
+        yield f"seed{seed}", generate(MixtureSpec(d=2, n=50, k=5, seed=seed))
+    yield "line3", LINE3
+    for trend in ((-1.0, 0.0), (0.6, 0.8)):
+        yield f"trend{trend}", Population.from_arrays(readme.feature_matrix, readme.costs, trend)
+
+
+TREND_POPULATIONS = dict(_trend_populations())
+
+
+def assert_same_result(res, ref):
+    assert res == ref
+    for a, b in ((res.moderator.w, ref.moderator.w), (res.moderator.b, ref.moderator.b),
+                 (res.objective, ref.objective)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestTrendSideFirst:
+    """The oracles score the candidates with w.e > 0 first, and pick what a
+    full scan over every candidate picks."""
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_oracles_equal_a_full_scan(self, name):
+        pop = TREND_POPULATIONS[name]
+        # at 1e9 the README population's best J is +4.9e-23: no trend-side
+        # row scores below 0, so the rest are scored too
+        for lam in (0.0, 1.0, 1e9):
+            assert_same_result(oracle_penalized_2d(pop, lam, OracleConfig()),
+                               reference_oracle_penalized_2d(pop, lam, OracleConfig()))
+        for k_cap in (0, 5):
+            assert_same_result(oracle_2d(pop, OracleConfig(K=k_cap)),
+                               reference_oracle_2d(pop, OracleConfig(K=k_cap)))
+
+    def test_infeasible_cap_reports_the_full_scan_least_violating_row(self, monkeypatch):
+        # K = 0 is met by the all-benign boundaries; a scorer that adds n + 1
+        # to every violation count leaves no candidate within the cap
+        def crowded(pop, W, B):
+            dm, penalty, violations, filtered = halfspace_scores(pop, W, B)
+            return dm, penalty, violations + pop.n + 1, filtered
+
+        monkeypatch.setattr(modbalance.oracle, "halfspace_scores", crowded)
+        monkeypatch.setattr(_helpers, "halfspace_scores", crowded)
+        pop = TREND_POPULATIONS["readme"]
+        with pytest.raises(NoFeasibleCandidateError) as got:
+            oracle_2d(pop, OracleConfig(K=0))
+        with pytest.raises(NoFeasibleCandidateError) as want:
+            reference_oracle_2d(pop, OracleConfig(K=0))
+        assert str(got.value) == str(want.value)
+        assert got.value.w.tobytes() == want.value.w.tobytes()
+        assert np.float64(got.value.b).tobytes() == np.float64(want.value.b).tobytes()
+        assert got.value.violations == want.value.violations
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_rows_off_the_trend_side_mitigate_nothing(self, name):
+        pop = TREND_POPULATIONS[name]
+        W, B = _candidates(pop, OracleConfig())
+        dm, _, _, _ = halfspace_scores(pop, W, B)
+        off = W @ pop.trend.e <= 0
+        assert np.any(off)
+        assert np.all(dm[off] == 0.0)
+
+    def test_only_trend_side_rows_are_scored_when_one_wins(self, monkeypatch):
+        scored = []
+
+        def counting(pop, W, B):
+            scored.append(W.shape[0])
+            return halfspace_scores(pop, W, B)
+
+        monkeypatch.setattr(modbalance.oracle, "halfspace_scores", counting)
+        pop = TREND_POPULATIONS["readme"]
+        for lam, rows in ((1.0, 10_180), (1e9, 20_460)):
+            scored.clear()
+            res = oracle_penalized_2d(pop, lam, OracleConfig())
+            assert sum(scored) == rows
+            assert res.iterations_used == 20_460
 
 
 class TestToyDisk:
