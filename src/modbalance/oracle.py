@@ -27,13 +27,27 @@ makes, ties to the first index included, up to the last bits of batch sums
 (``halfspace_scores`` rounds a row by the rows that share its block).
 ``iterations_used`` stays the size of the candidate set.
 
+Neither the candidates nor their scores depend on lam or K, so the oracles
+split into a stage and a pick. The stage holds a population's candidates, the
+trend-side mask and the DM, penalty and violation arrays; the pick applies
+the per-call trend-side test, then the argmin or argmax. One stage is held,
+for the last population and candidate set (the config with its cap cleared)
+an oracle was called with, and a call with both the same reuses it, scoring
+the rest only when it first needs them. A ``Population`` is frozen and its
+arrays are read-only copies, so the object's identity stands for its
+contents. A warm call reads the rows a cold call would score, scored in the
+same blocks, so it makes the same pick, bit for bit. The stage holds its
+population only weakly and is dropped when the population dies, and the old
+stage is dropped before a new one is built.
+
 The candidate grids are nested under doubling of their step counts, so
 refining the search can only improve the reported best.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,24 +136,74 @@ def _require_plane(pop: Population):
         raise ValueError(f"oracle search requires d = 2, got d = {pop.d}")
 
 
-def _scores(pop: Population, W: np.ndarray, B: np.ndarray, decided) -> list[np.ndarray]:
-    """DM, penalty and violation count of every candidate, trend side first.
+class _Stage:
+    """A population's candidates and their scores; nothing here depends on
+    lam or K.
 
-    The rows with w.e > 0 are scored first. The rest are scored only if
-    ``decided(dm, penalty, violations)`` of the first rows is False.
-    Otherwise they keep DM = 0, their exact value, and penalty = violations =
-    0, lower bounds under which they still lose to the decided winner: J = 0
-    against J < 0, or DM = 0 against DM > 0.
+    The trend-side rows (w.e > 0) are scored on construction, the rest by
+    ``score_rest``. Until then the rest keep DM = 0, their exact value, and
+    penalty = violations = 0, lower bounds under which they still lose to a
+    trend-side row that wins strictly: J = 0 against J < 0, or DM = 0
+    against DM > 0. The stage refers to its population only weakly, and a
+    finalizer empties the slot when the population dies.
     """
-    ahead = W @ pop.trend.e > 0
-    first = halfspace_scores(pop, W[ahead], B[ahead])[:3]
-    scores = [np.zeros(W.shape[0], dtype=part.dtype) for part in first]
-    for full, part in zip(scores, first):
-        full[ahead] = part
-    if not decided(*first):
-        for full, part in zip(scores, halfspace_scores(pop, W[~ahead], B[~ahead])[:3]):
-            full[~ahead] = part
-    return scores
+
+    def __init__(self, pop: Population, cfg: OracleConfig):
+        self.pop = weakref.ref(pop)
+        self.key = replace(cfg, K=0)
+        self.W, self.B = _candidates(pop, cfg)
+        self.ahead = self.W @ pop.trend.e > 0
+        first = halfspace_scores(pop, self.W[self.ahead], self.B[self.ahead])[:3]
+        self.dm, self.penalty, self.violations = (
+            np.zeros(self.W.shape[0], dtype=part.dtype) for part in first)
+        self._fill(self.ahead, first)
+        self.rest_scored = False
+        self.finalizer = weakref.finalize(pop, _drop_stage)
+
+    def _fill(self, rows: np.ndarray, parts):
+        for full, part in zip((self.dm, self.penalty, self.violations), parts):
+            full[rows] = part
+
+    def score_rest(self, pop: Population):
+        rest = ~self.ahead
+        self._fill(rest, halfspace_scores(pop, self.W[rest], self.B[rest])[:3])
+        self.rest_scored = True
+
+
+# The one held stage, or None.
+_held: _Stage | None = None
+
+
+def _drop_stage():
+    """Empty the slot and detach the stage's finalizer."""
+    global _held
+    stage, _held = _held, None
+    if stage is not None:
+        stage.finalizer.detach()
+
+
+def _scores(pop: Population, cfg: OracleConfig, decided) -> _Stage:
+    """The stage of ``pop``'s candidates under ``cfg``, scored as far as the
+    call needs.
+
+    The held stage is reused when it was built for this very ``pop`` object
+    and a config equal to ``cfg`` up to the cap K; otherwise it is dropped and
+    a new one built. Identity is a valid key because a ``Population`` is
+    frozen and holds read-only copies of its arrays, and a stage leaves the
+    slot when its population dies, so no later object can take its place.
+    The rest (w.e <= 0) are scored only if
+    ``decided(dm, penalty, violations)`` of the stage is False while they
+    hold their lower bounds, that is, unless a trend-side row wins strictly.
+    """
+    global _held
+    stage = _held  # read once: a finalizer may empty the slot at any time
+    if stage is None or stage.pop() is not pop or stage.key != replace(cfg, K=0):
+        stage = None  # the old stage is freed before the new one is built
+        _drop_stage()
+        stage = _held = _Stage(pop, cfg)
+    if not stage.rest_scored and not decided(stage.dm, stage.penalty, stage.violations):
+        stage.score_rest(pop)
+    return stage
 
 
 def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
@@ -149,16 +213,16 @@ def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
     candidates, whose DM is exactly 0, are not scored.
     """
     _require_plane(pop)
-    W, B = _candidates(pop, cfg)
-    dm, _, violations = _scores(
-        pop, W, B, lambda dm, _, violations: np.any((violations <= cfg.K) & (dm > 0)))
+    stage = _scores(
+        pop, cfg, lambda dm, _, violations: np.any((violations <= cfg.K) & (dm > 0)))
+    W, B, dm, violations = stage.W, stage.B, stage.dm, stage.violations
     feasible = violations <= cfg.K
     if not np.any(feasible):
         least = int(np.argmin(violations))
         raise NoFeasibleCandidateError(
             f"no candidate satisfies the cap K = {cfg.K}; "
             f"best candidate violates {int(violations[least])}",
-            w=W[least],
+            w=W[least].copy(),  # not a view into the held stage
             b=float(B[least]),
             violations=int(violations[least]),
         )
@@ -175,10 +239,9 @@ def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> Solve
     """
     _require_plane(pop)
     _require_lambda(lam)
-    W, B = _candidates(pop, cfg)
-    dm, penalty, _ = _scores(pop, W, B, lambda dm, penalty, _: np.any(-dm + lam * penalty < 0))
-    best = int(np.argmin(-dm + lam * penalty))
-    return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
+    stage = _scores(pop, cfg, lambda dm, penalty, _: np.any(-dm + lam * penalty < 0))
+    best = int(np.argmin(-stage.dm + lam * stage.penalty))
+    return _exact_result(pop, stage.W[best], stage.B[best], lam, stage.W.shape[0], True)
 
 
 def toy_disk(

@@ -443,19 +443,20 @@ def _exact_offsets(P: np.ndarray, S: np.ndarray, lam: float) -> tuple[np.ndarray
     order = np.argsort(breakpoints, axis=1, kind="stable")
     enters = order < n  # ideal point crosses: user becomes mitigated and penalized
     user = np.where(enters, order, order - n)
-    Pu, Qu, Su = (np.take_along_axis(M, user, axis=1) for M in (P, Q, S))
+    row = np.arange(k)[:, None]
+    Pu, Qu, Su = P[row, user], Q[row, user], S[row, user]
     mitigated = np.where(enters, 1.0, -1.0)  # joins or leaves the mitigated set
     penalized = lam * enters
     A = np.cumsum(penalized + mitigated, axis=1)
     B = np.cumsum(2.0 * (penalized * Qu + mitigated * Pu), axis=1)
     C = np.cumsum(penalized * Qu**2 + mitigated * (Pu**2 - Su**2), axis=1)
-    lo = np.take_along_axis(breakpoints, order, axis=1)
+    lo = breakpoints[row, order]
     hi = np.concatenate([lo[:, 1:], np.full((k, 1), np.inf)], axis=1)
     vertex = np.divide(-B, 2.0 * A, out=lo.copy(), where=A > 0)
     b = np.clip(vertex, lo, hi)
     J = (A * b + B) * b + C
     best = np.argmin(J, axis=1)[:, None]
-    b, J = np.take_along_axis(b, best, axis=1)[:, 0], np.take_along_axis(J, best, axis=1)[:, 0]
+    b, J = b[row, best][:, 0], J[row, best][:, 0]
     gains = (J < 0.0) & np.all(S > 0, axis=1)
     return np.where(gains, b, -np.max(Q, axis=1) - 1.0), np.where(gains, J, 0.0)
 

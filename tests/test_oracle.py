@@ -1,5 +1,8 @@
 """Brute-force reference searches and the unit-disk toy model."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,8 @@ class TestTrendSideFirst:
         assert np.all(dm[off] == 0.0)
 
     def test_only_trend_side_rows_are_scored_when_one_wins(self, monkeypatch):
+        # the stage scores the trend side once and the rest when a call first
+        # needs them; an equal but new population gets a stage of its own
         scored = []
 
         def counting(pop, W, B):
@@ -233,12 +238,116 @@ class TestTrendSideFirst:
             return halfspace_scores(pop, W, B)
 
         monkeypatch.setattr(modbalance.oracle, "halfspace_scores", counting)
-        pop = TREND_POPULATIONS["readme"]
-        for lam, rows in ((1.0, 10_180), (1e9, 20_460)):
+        readme = TREND_POPULATIONS["readme"]
+        pop, twin = (Population.from_arrays(readme.feature_matrix, readme.costs, readme.trend.e)
+                     for _ in range(2))
+        # lam None: oracle_2d at K = 5, which reuses the stage built at K = 0
+        for who, lam, rows in ((pop, 1.0, 10_180), (pop, 1e9, 10_280), (pop, None, 0),
+                               (twin, 1.0, 10_180)):
             scored.clear()
-            res = oracle_penalized_2d(pop, lam, OracleConfig())
+            res = (oracle_2d(who, OracleConfig(K=5)) if lam is None
+                   else oracle_penalized_2d(who, lam, OracleConfig()))
             assert sum(scored) == rows
             assert res.iterations_used == 20_460
+
+
+def _fresh(pop):
+    """A new Population object equal to ``pop``."""
+    return Population.from_arrays(pop.feature_matrix, pop.costs, pop.trend.e)
+
+
+class TestStage:
+    """One held stage serves every lam and every cap on the same population
+    object and candidate set, and changes no output."""
+
+    # constrained calls before penalized ones, lam = 1e9 (which scores the
+    # rest on the README population) before K = 0, and after lam = 1
+    ORDERS = (
+        ("K5", "K0", "lam1", "lam1e9", "lam0"),
+        ("lam1", "lam1e9", "K0", "lam0", "K5"),
+        ("lam0", "K5", "lam1e9", "lam1", "K0"),
+    )
+    CALLS = {
+        "K0": (oracle_2d, reference_oracle_2d, (OracleConfig(K=0),)),
+        "K5": (oracle_2d, reference_oracle_2d, (OracleConfig(K=5),)),
+        "lam0": (oracle_penalized_2d, reference_oracle_penalized_2d, (0.0, OracleConfig())),
+        "lam1": (oracle_penalized_2d, reference_oracle_penalized_2d, (1.0, OracleConfig())),
+        "lam1e9": (oracle_penalized_2d, reference_oracle_penalized_2d, (1e9, OracleConfig())),
+    }
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_warm_calls_equal_cold_full_scans(self, name):
+        pop = TREND_POPULATIONS[name]
+        want = {call: ref(pop, *args) for call, (_, ref, args) in self.CALLS.items()}
+        for order in self.ORDERS:
+            warm = _fresh(pop)
+            for call in order:
+                oracle, _, args = self.CALLS[call]
+                assert_same_result(oracle(warm, *args), want[call])
+
+    def test_a_stage_is_served_only_to_its_candidate_set(self):
+        pop = TREND_POPULATIONS["readme"]
+        configs = (OracleConfig(), OracleConfig(use_candidates=False),
+                   OracleConfig(angle_steps=32), OracleConfig(offset_steps=32),
+                   OracleConfig(K=5, use_candidates=False), OracleConfig())
+        for cfg in configs:
+            for lam in (1.0, 1e9):
+                assert_same_result(oracle_penalized_2d(pop, lam, cfg),
+                                   reference_oracle_penalized_2d(pop, lam, cfg))
+            assert_same_result(oracle_2d(pop, cfg), reference_oracle_2d(pop, cfg))
+
+    def test_the_stage_does_not_keep_its_population_alive(self):
+        pop = _fresh(TREND_POPULATIONS["readme"])
+        oracle_penalized_2d(pop, 1.0, OracleConfig())
+        assert modbalance.oracle._held is not None
+        alive = weakref.ref(pop)
+        del pop
+        gc.collect()
+        assert alive() is None
+        assert modbalance.oracle._held is None
+
+    def test_a_replaced_stage_is_not_dropped_by_its_population_dying(self):
+        first, second = (_fresh(TREND_POPULATIONS["readme"]) for _ in range(2))
+        oracle_penalized_2d(first, 1.0, OracleConfig())
+        oracle_penalized_2d(second, 1.0, OracleConfig())
+        del first
+        gc.collect()
+        assert modbalance.oracle._held.pop() is second
+
+    def test_the_old_stage_is_freed_before_a_new_one_is_built(self, monkeypatch):
+        first, second = (_fresh(TREND_POPULATIONS["readme"]) for _ in range(2))
+        oracle_penalized_2d(first, 1.0, OracleConfig())
+        old = weakref.ref(modbalance.oracle._held)
+        candidates = modbalance.oracle._candidates
+        seen = []
+
+        def watching(pop, cfg):
+            seen.append(old() is None)
+            return candidates(pop, cfg)
+
+        monkeypatch.setattr(modbalance.oracle, "_candidates", watching)
+        oracle_penalized_2d(second, 1.0, OracleConfig())
+        assert seen == [True]
+
+    @pytest.mark.parametrize("lam", [1.0, 1e9])
+    def test_infeasible_cap_on_a_warm_stage_reports_the_full_scan_row(self, monkeypatch, lam):
+        # lam = 1 leaves the rest for oracle_2d to score, lam = 1e9 scores them first
+        def crowded(pop, W, B):
+            dm, penalty, violations, filtered = halfspace_scores(pop, W, B)
+            return dm, penalty, violations + pop.n + 1, filtered
+
+        monkeypatch.setattr(modbalance.oracle, "halfspace_scores", crowded)
+        monkeypatch.setattr(_helpers, "halfspace_scores", crowded)
+        pop = TREND_POPULATIONS["readme"]
+        oracle_penalized_2d(pop, lam, OracleConfig())
+        with pytest.raises(NoFeasibleCandidateError) as got:
+            oracle_2d(pop, OracleConfig(K=0))
+        with pytest.raises(NoFeasibleCandidateError) as want:
+            reference_oracle_2d(pop, OracleConfig(K=0))
+        assert str(got.value) == str(want.value)
+        assert got.value.w.tobytes() == want.value.w.tobytes()
+        assert np.float64(got.value.b).tobytes() == np.float64(want.value.b).tobytes()
+        assert got.value.violations == want.value.violations
 
 
 class TestToyDisk:
