@@ -159,8 +159,9 @@ def _read_config(path: str) -> dict[str, tuple[str, int]]:
     """The file's ``key -> (value, line number)`` entries."""
     entries = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")  # as data.load splits: at "\n" only
+        # as data.load reads: a leading byte-order mark is dropped, lines end at "\n" only
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     for line_no, line in enumerate(lines, start=1):

@@ -10,7 +10,10 @@ Datasets are one CSV per population: ``#``-prefixed ``key = value`` metadata
 (dimension, row count and trend vector) above a ``x_0,...,x_{d-1},c`` header,
 floats at 17 significant digits for exact round-trips. ``load`` names the line
 of the first bad value, and rejects a file whose row count disagrees with its
-``n`` metadata.
+``n`` metadata. ``save`` and ``load`` handle the rows in blocks of about 2**20
+characters of text, so beside the population they hold one block's text, lines
+and Python floats, not the whole file's; ``load`` also holds the parsed table a
+second time while it joins the blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ _STREAM_COSTS = 3
 
 # every float the package writes (datasets, CLI outputs): 17 digits round-trip a float64
 _FLOAT = "%.17g"
+# dataset text handled at once: load reads this many characters per block and save
+# formats as many rows as fit in it, so neither holds the whole file
+_BLOCK_CHARS = 1 << 20
 
 
 class DatasetFormatError(ValueError):
@@ -94,18 +100,23 @@ def generate(spec: MixtureSpec) -> Population:
 
 
 def save(pop: Population, path) -> None:
-    """Write one population as a self-describing CSV."""
+    """Write one population as a self-describing CSV, one block of rows at a time."""
     d = pop.d
-    lines = [
+    head = [
         f"# d = {d}",
         f"# n = {pop.n}",
         "# trend = " + ",".join(_FLOAT % v for v in pop.trend.e),
         ",".join([f"x_{j}" for j in range(d)] + ["c"]),
     ]
-    rows = "\n".join([",".join([_FLOAT] * (d + 1))] * pop.n)
-    lines.append(rows % tuple(np.column_stack([pop.feature_matrix, pop.costs]).ravel().tolist()))
+    row = ",".join([_FLOAT] * (d + 1)) + "\n"
+    # rows per block: a field and its comma take at most 25 characters (-1.2345678901234567e-308,)
+    step = max(1, _BLOCK_CHARS // (25 * (d + 1)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(head) + "\n")
+        for start in range(0, pop.n, step):
+            block = np.column_stack([pop.feature_matrix[start:start + step],
+                                     pop.costs[start:start + step]])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _parse_meta(line: str, line_no: int) -> tuple[str, str]:
@@ -116,26 +127,41 @@ def _parse_meta(line: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _parse_rows(rows: list[tuple[int, str]], d: int, separators: bool) -> np.ndarray:
-    """The (line number, text) data rows as an (n, d + 1) float table.
+def _header_width(line: str, line_no: int) -> int:
+    """The feature dimension d a ``x_0,...,x_{d-1},c`` header line names."""
+    columns = [c.strip() for c in line.split(",")]
+    if columns[-1:] != ["c"]:
+        raise DatasetFormatError(
+            f"last column must be the cost column 'c', got {columns[-1:]}", line_no
+        )
+    d = len(columns) - 1
+    if d < 1 or columns[:d] != [f"x_{j}" for j in range(d)]:
+        raise DatasetFormatError(
+            f"feature columns must be x_0..x_{{d-1}}, got {columns[:d]}", line_no
+        )
+    return d
+
+
+def _parse_rows(rows: list[str], numbers: list[int], d: int, separators: bool) -> np.ndarray:
+    """The data rows, on lines ``numbers``, as an (n, d + 1) float table.
 
     One ``np.loadtxt`` call parses a well-formed table to the bits ``float``
     gives. If it fails, the rows are parsed one at a time by ``float``, which
     accepts a few more spellings (``1_0``) and names the line of the first bad
     row. loadtxt also skips the separators \\x1c-\\x1f around a number, which
-    ``float`` rejects, so a file holding one (``separators``) goes the per-row
-    way too.
+    ``float`` rejects, so a block holding one (``separators``) goes the
+    per-row way too.
     """
     if not separators:
         try:
-            table = np.loadtxt([line for _, line in rows], delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
             if table.shape[1] == d + 1:
                 return table
     table = np.empty((len(rows), d + 1))
-    for i, (line_no, line) in enumerate(rows):
+    for i, (line_no, line) in enumerate(zip(numbers, rows)):
         parts = line.split(",")
         if len(parts) != d + 1:
             raise DatasetFormatError(f"expected {d + 1} fields, got {len(parts)}", line_no)
@@ -146,40 +172,71 @@ def _parse_rows(rows: list[tuple[int, str]], d: int, separators: bool) -> np.nda
     return table
 
 
+def _bad_value(table: np.ndarray, numbers: list[int], d: int) -> DatasetFormatError | None:
+    """The error naming the first row with a nonfinite feature or a bad cost, if any."""
+    X, costs = table[:, :d], table[:, d]
+    bad_x = ~np.isfinite(X).all(axis=1)
+    bad = bad_x | ~(np.isfinite(costs) & (costs > 0))
+    if not np.any(bad):
+        return None
+    i = int(np.argmax(bad))
+    if bad_x[i]:
+        return DatasetFormatError("features must be finite", numbers[i])
+    return DatasetFormatError(f"cost must be positive and finite, got {costs[i]}", numbers[i])
+
+
 def load(path) -> Population:
-    """Read a population back; inverse of :func:`save` to full precision."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    raw_lines = text.split("\n")  # not splitlines: float accepts \f, \x85 and others
+    """Read a population back; inverse of :func:`save` to full precision.
 
+    Errors come in the order a whole-file read meets them: malformed metadata
+    as it is scanned, then the header and metadata checks, then the first row
+    that does not parse, then the first row with a bad value.
+    """
     meta: dict[str, str] = {}
-    header = None
-    rows: list[tuple[int, str]] = []
-    for line_no, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        if line.lstrip().startswith("#"):
-            key, value = _parse_meta(line, line_no)
-            meta[key] = value
-            continue
-        if header is None:
-            header = (line_no, line)
-        else:
-            rows.append((line_no, line))
+    header_no = header_error = row_error = value_error = d = None
+    tables: list[np.ndarray] = []
+    n_rows = line_no = 0
+    # utf-8-sig drops a leading byte-order mark; text mode reads \r\n as \n even
+    # when a block ends between the two
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        # a block is whole lines: readline finishes the last one, however long
+        while text := fh.read(_BLOCK_CHARS) + fh.readline():
+            lines = text.split("\n")  # not splitlines: float accepts \f, \x85 and others
+            if not lines[-1]:
+                lines.pop()  # the empty string after the block's final "\n"
+            rows, numbers = [], []
+            for line in lines:
+                line_no += 1
+                body = line.lstrip()
+                if not body:
+                    continue
+                if body[0] == "#":
+                    key, value = _parse_meta(line, line_no)
+                    meta[key] = value
+                elif header_no is None:
+                    header_no = line_no
+                    try:
+                        d = _header_width(line, line_no)
+                    except DatasetFormatError as exc:
+                        header_error = exc
+                else:
+                    rows.append(line)
+                    numbers.append(line_no)
+            n_rows += len(rows)
+            if rows and d is not None and row_error is None:
+                separators = any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+                try:
+                    table = _parse_rows(rows, numbers, d, separators)
+                except DatasetFormatError as exc:
+                    row_error, tables = exc, []
+                else:
+                    tables.append(table)
+                    value_error = value_error or _bad_value(table, numbers, d)
 
-    if header is None:
+    if header_no is None:
         raise DatasetFormatError("no header row found")
-    header_no, header_line = header
-    columns = [c.strip() for c in header_line.split(",")]
-    if columns[-1:] != ["c"]:
-        raise DatasetFormatError(
-            f"last column must be the cost column 'c', got {columns[-1:]}", header_no
-        )
-    d = len(columns) - 1
-    if d < 1 or columns[:d] != [f"x_{j}" for j in range(d)]:
-        raise DatasetFormatError(
-            f"feature columns must be x_0..x_{{d-1}}, got {columns[:d]}", header_no
-        )
+    if header_error is not None:
+        raise header_error
     try:
         if "d" in meta and int(meta["d"]) != d:
             raise DatasetFormatError(
@@ -188,9 +245,9 @@ def load(path) -> Population:
         if "trend" not in meta:
             raise DatasetFormatError("missing 'trend' metadata comment", header_no)
         trend = np.array([float(v) for v in meta["trend"].split(",")])
-        if "n" in meta and int(meta["n"]) != len(rows):
+        if "n" in meta and int(meta["n"]) != n_rows:
             raise DatasetFormatError(
-                f"metadata n = {meta['n']} disagrees with {len(rows)} data rows", header_no
+                f"metadata n = {meta['n']} disagrees with {n_rows} data rows", header_no
             )
     except ValueError as exc:
         if isinstance(exc, DatasetFormatError):
@@ -205,16 +262,12 @@ def load(path) -> Population:
             f"trend must be finite and nonzero, got {meta['trend']}", header_no
         )
 
-    if not rows:
+    if not n_rows:
         raise DatasetFormatError("empty population: header present but no data rows")
-
-    table = _parse_rows(rows, d, any(sep in text for sep in "\x1c\x1d\x1e\x1f"))
-    X, costs = table[:, :d], table[:, d]
-    bad_x = ~np.isfinite(X).all(axis=1)
-    bad = bad_x | ~(np.isfinite(costs) & (costs > 0))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        if bad_x[i]:
-            raise DatasetFormatError("features must be finite", rows[i][0])
-        raise DatasetFormatError(f"cost must be positive and finite, got {costs[i]}", rows[i][0])
-    return Population.from_arrays(X, costs, trend)
+    if row_error is not None:
+        raise row_error
+    if value_error is not None:
+        raise value_error
+    table = np.concatenate(tables)
+    del tables  # so that the table and from_arrays' copies are all that is alive
+    return Population.from_arrays(table[:, :d], table[:, d], trend)

@@ -125,6 +125,14 @@ class TestGenerate:
                     "--out", str(tmp_path / 'b.csv')]) == 0
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
+    def test_config_with_byte_order_mark_reads_its_first_key(self, tmp_path):
+        # editors on some platforms start a UTF-8 file with one
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("\ufeffseed = 4\nn = 10\nk = 2\nd = 2\n", encoding="utf-8")
+        out = tmp_path / "pop.csv"
+        assert run(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load(out) == generate(MixtureSpec(d=2, n=10, k=2, seed=4))
+
     def test_seed_past_philox_key_range_exits_two_without_output(self, tmp_path, capsys):
         # 2**64 would otherwise key the streams of seed 0
         out = tmp_path / "pop.csv"
