@@ -26,7 +26,7 @@ import numpy as np
 from . import data as data_mod
 from .data import MixtureSpec
 from .model import SettingError, _require_int, _require_lambda
-from .oracle import NoFeasibleCandidateError, OracleConfig, oracle_2d, oracle_penalized_2d, toy_disk
+from .oracle import OracleConfig, oracle_2d, oracle_penalized_2d, toy_disk
 from .solver import (
     CalibrationTarget,
     SolverConfig,
@@ -337,8 +337,7 @@ def _cmd_oracle(params: dict) -> int:
     cfg = OracleConfig(
         **{key: params[key] for key in _ORACLE if key != "K"}, K=params["max_violations"]
     )
-    if mode == "penalized":
-        _require_lambda(params["lam"])
+    _require_lambda(params["lam"])
     pop = data_mod.load(params["data"])
     if mode == "penalized":
         result = oracle_penalized_2d(pop, params["lam"], cfg)
@@ -421,13 +420,6 @@ def run(argv=None) -> int:
         params, where = _resolve(args.command, args)
         _check_outputs(params, args.config)
         return _COMMANDS[args.command][0](params)
-    except NoFeasibleCandidateError as exc:
-        print(
-            f"error: {exc} (least-violating candidate: w = {exc.w.tolist()}, "
-            f"b = {exc.b}, violations = {exc.violations})",
-            file=sys.stderr,
-        )
-        return 2
     except OSError as exc:
         name = getattr(exc, "filename", None)
         print(f"error: {name or 'i/o'}: {exc}", file=sys.stderr)

@@ -106,7 +106,7 @@ def save(pop: Population, path) -> None:
         f"# d = {d}",
         f"# n = {pop.n}",
         "# trend = " + ",".join(_FLOAT % v for v in pop.trend.e),
-        ",".join([f"x_{j}" for j in range(d)] + ["c"]),
+        ",".join(_columns(d)),
     ]
     row = ",".join([_FLOAT] * (d + 1)) + "\n"
     # rows per block: a field and its comma take at most 25 characters (-1.2345678901234567e-308,)
@@ -117,6 +117,11 @@ def save(pop: Population, path) -> None:
             block = np.column_stack([pop.feature_matrix[start:start + step],
                                      pop.costs[start:start + step]])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _columns(d: int) -> list[str]:
+    """A dataset header's column names: x_0, ..., x_{d-1}, c."""
+    return [f"x_{j}" for j in range(d)] + ["c"]
 
 
 def _parse_meta(line: str, line_no: int) -> tuple[str, str]:
@@ -135,7 +140,7 @@ def _header_width(line: str, line_no: int) -> int:
             f"last column must be the cost column 'c', got {columns[-1:]}", line_no
         )
     d = len(columns) - 1
-    if d < 1 or columns[:d] != [f"x_{j}" for j in range(d)]:
+    if d < 1 or columns != _columns(d):
         raise DatasetFormatError(
             f"feature columns must be x_0..x_{{d-1}}, got {columns[:d]}", line_no
         )
@@ -188,11 +193,13 @@ def _bad_value(table: np.ndarray, numbers: list[int], d: int) -> DatasetFormatEr
 def load(path) -> Population:
     """Read a population back; inverse of :func:`save` to full precision.
 
-    Errors come in the order a whole-file read meets them: malformed metadata
-    as it is scanned, then the header and metadata checks, then the first row
+    A metadata key may repeat only with its first value. Errors come in the
+    order a whole-file read meets them: malformed or conflicting metadata as
+    it is scanned, then the header and metadata checks, then the first row
     that does not parse, then the first row with a bad value.
     """
     meta: dict[str, str] = {}
+    meta_lines: dict[str, int] = {}  # each key's first line
     header_no = header_error = row_error = value_error = d = None
     tables: list[np.ndarray] = []
     n_rows = line_no = 0
@@ -212,7 +219,11 @@ def load(path) -> Population:
                     continue
                 if body[0] == "#":
                     key, value = _parse_meta(line, line_no)
-                    meta[key] = value
+                    if meta.setdefault(key, value) != value:
+                        raise DatasetFormatError(
+                            f"metadata {key} = {value} disagrees with {key} = {meta[key]} "
+                            f"on line {meta_lines[key]}", line_no)
+                    meta_lines.setdefault(key, line_no)
                 elif header_no is None:
                     header_no = line_no
                     try:

@@ -1,44 +1,38 @@
 """Brute-force reference solvers for two-dimensional desk-scale instances.
 
 Exact optimization over halfspaces is combinatorially hard. In the plane each
-oracle returns the best of a finite candidate set: a direction/offset grid,
-boundaries through every data point and ideal point, and (``use_candidates``)
-through every pair of them. That is not always the optimum: on the 60
-criterion-5 records of the acceptance suite, ``polish_penalized`` reaches a
-lower objective than ``oracle_penalized_2d`` in 43, by up to 0.103. The
-candidates are built from arrays and scored by
-:func:`~modbalance.metrics.halfspace_scores`, the closed form every other
-halfspace score uses, so the oracles count mitigation and violations with
-the same ``BENIGN_TOL`` as ``metrics``. The returned ``SolveResult``
-re-scores the winner by one ``halfspace_scores`` row, as every solver's
-result does, and its ``objective`` is computed from that row, so it agrees
-exactly with the record's ``dm`` and ``penalty``.
+oracle returns the best of a finite candidate set. It starts with the
+do-nothing halfspace: normal e/|e| and an offset that leaves every ideal point
+benign, so DM = 0, penalty = 0 and no violations. The rows of the search with
+w.e > 0 follow in order: a direction/offset grid, boundaries through every
+data point and ideal point, and (``use_candidates``) through every pair of
+them. That is not always the optimum: on the 60 criterion-5 records of the
+acceptance suite, ``polish_penalized`` reaches a lower objective than
+``oracle_penalized_2d`` in 43, by up to 0.103. The candidates are scored by
+:func:`~modbalance.metrics.halfspace_scores`, the closed form every halfspace
+score uses, with its ``BENIGN_TOL``. The returned ``SolveResult`` re-scores the
+winner by one ``halfspace_scores`` row, as every solver's result does, and its
+``objective`` is computed from that row, so it agrees exactly with the
+record's ``dm`` and ``penalty``.
 
-Users move only along the trend e, so a candidate whose normal has w.e <= 0
+Users move only along the trend e, so a search row whose normal has w.e <= 0
 mitigates nothing: each user's trend advance s_i = w.e/(2c_i) is <= 0, so the
 ideal point's score y_i = v_i + s_i never exceeds the origin's v_i, and no
 user has a benign origin and a filtered ideal point. Its DM is exactly 0 and
-its penalized objective lam * penalty is >= 0. Each oracle therefore scores
-the trend-side candidates (w.e > 0) first, and the rest only when no
-trend-side candidate beats that bound strictly: a negative penalized
-objective, or a positive DM within the cap. Either way one argmin or argmax
-runs over every candidate in its order, so the pick is the one a full scan
-makes, ties to the first index included, up to the last bits of batch sums
-(``halfspace_scores`` rounds a row by the rows that share its block).
-``iterations_used`` stays the size of the candidate set.
+its penalized objective lam * penalty is >= 0, so it never beats the
+do-nothing row, which scores 0 and meets every cap; such rows are left out.
+The do-nothing row comes first and so wins every tie at 0: a K = 0 call, whose
+feasible rows all have DM = 0, returns it. ``iterations_used`` is the size of
+the candidate set.
 
-Neither the candidates nor their scores depend on lam or K, so the oracles
-split into a stage and a pick. The stage holds a population's candidates, the
-trend-side mask and the DM, penalty and violation arrays; the pick applies
-the per-call trend-side test, then the argmin or argmax. One stage is held,
-for the last population and candidate set (the config with its cap cleared)
-an oracle was called with, and a call with both the same reuses it, scoring
-the rest only when it first needs them. A ``Population`` is frozen and its
-arrays are read-only copies, so the object's identity stands for its
-contents. A warm call reads the rows a cold call would score, scored in the
-same blocks, so it makes the same pick, bit for bit. The stage holds its
-population only weakly and is dropped when the population dies, and the old
-stage is dropped before a new one is built.
+Neither the candidates nor their scores depend on lam or K, so one stage holds
+them, with their DM, penalty and violation arrays, for the last population
+object and candidate set (the config with its cap cleared) an oracle was
+called with; a call with both the same reuses it, and picks by one argmin or
+argmax. A ``Population`` is frozen and its arrays are read-only copies, so the
+object's identity stands for its contents. The stage holds its population
+only weakly and is dropped when the population dies, and the old stage is
+dropped before a new one is built.
 
 The candidate grids are nested under doubling of their step counts, so
 refining the search can only improve the reported best.
@@ -54,25 +48,9 @@ import numpy as np
 from .metrics import halfspace_scores
 from .model import (Population, SettingError, Trend, _require_int, _require_lambda, _require_seed,
                     _stream)
-from .solver import SolveResult, _exact_result
+from .solver import SolveResult, _all_benign_offset, _exact_result
 
-__all__ = [
-    "OracleConfig",
-    "NoFeasibleCandidateError",
-    "oracle_2d",
-    "oracle_penalized_2d",
-    "toy_disk",
-]
-
-
-class NoFeasibleCandidateError(RuntimeError):
-    """Every candidate broke the violation cap; carries the least-bad one."""
-
-    def __init__(self, message: str, w: np.ndarray, b: float, violations: int):
-        super().__init__(message)
-        self.w = w
-        self.b = b
-        self.violations = violations
+__all__ = ["OracleConfig", "oracle_2d", "oracle_penalized_2d", "toy_disk"]
 
 
 @dataclass(frozen=True)
@@ -97,7 +75,8 @@ class OracleConfig:
 
 
 def _candidates(pop: Population, cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of candidate (w, b) rows, unit-normalized normals.
+    """The search's (w, b) rows, unit-normalized normals; the oracles keep
+    those with w.e > 0, after the do-nothing row.
 
     Per grid direction: the offset grid, then boundaries through each point,
     then through each ideal point. Then, if enabled, the boundary through
@@ -137,37 +116,27 @@ def _require_plane(pop: Population):
 
 
 class _Stage:
-    """A population's candidates and their scores; nothing here depends on
-    lam or K.
+    """A population's candidates and their scores, for every lam and K.
 
-    The trend-side rows (w.e > 0) are scored on construction, the rest by
-    ``score_rest``. Until then the rest keep DM = 0, their exact value, and
-    penalty = violations = 0, lower bounds under which they still lose to a
-    trend-side row that wins strictly: J = 0 against J < 0, or DM = 0
-    against DM > 0. The stage refers to its population only weakly, and a
-    finalizer empties the slot when the population dies.
+    Row 0 is the do-nothing halfspace, whose scores (0, 0, 0) are set, not
+    computed; the rest are the search rows with w.e > 0, scored by one
+    ``halfspace_scores`` call. The stage refers to its population only
+    weakly, and a finalizer empties the slot when the population dies.
     """
 
     def __init__(self, pop: Population, cfg: OracleConfig):
         self.pop = weakref.ref(pop)
         self.key = replace(cfg, K=0)
-        self.W, self.B = _candidates(pop, cfg)
-        self.ahead = self.W @ pop.trend.e > 0
-        first = halfspace_scores(pop, self.W[self.ahead], self.B[self.ahead])[:3]
-        self.dm, self.penalty, self.violations = (
-            np.zeros(self.W.shape[0], dtype=part.dtype) for part in first)
-        self._fill(self.ahead, first)
-        self.rest_scored = False
+        e = pop.trend.e
+        W, B = _candidates(pop, cfg)
+        ahead = W @ e > 0
+        W, B = W[ahead], B[ahead]
+        scores = halfspace_scores(pop, W, B)[:3]
+        w = e / np.linalg.norm(e)
+        b = _all_benign_offset(pop.feature_matrix @ w + (w @ e) / (2.0 * pop.costs))
+        self.W, self.B = np.insert(W, 0, w, axis=0), np.insert(B, 0, b)
+        self.dm, self.penalty, self.violations = (np.insert(part, 0, 0) for part in scores)
         self.finalizer = weakref.finalize(pop, _drop_stage)
-
-    def _fill(self, rows: np.ndarray, parts):
-        for full, part in zip((self.dm, self.penalty, self.violations), parts):
-            full[rows] = part
-
-    def score_rest(self, pop: Population):
-        rest = ~self.ahead
-        self._fill(rest, halfspace_scores(pop, self.W[rest], self.B[rest])[:3])
-        self.rest_scored = True
 
 
 # The one held stage, or None.
@@ -182,18 +151,14 @@ def _drop_stage():
         stage.finalizer.detach()
 
 
-def _scores(pop: Population, cfg: OracleConfig, decided) -> _Stage:
-    """The stage of ``pop``'s candidates under ``cfg``, scored as far as the
-    call needs.
+def _scores(pop: Population, cfg: OracleConfig) -> _Stage:
+    """The stage of ``pop``'s candidates under ``cfg``.
 
     The held stage is reused when it was built for this very ``pop`` object
     and a config equal to ``cfg`` up to the cap K; otherwise it is dropped and
     a new one built. Identity is a valid key because a ``Population`` is
     frozen and holds read-only copies of its arrays, and a stage leaves the
     slot when its population dies, so no later object can take its place.
-    The rest (w.e <= 0) are scored only if
-    ``decided(dm, penalty, violations)`` of the stage is False while they
-    hold their lower bounds, that is, unless a trend-side row wins strictly.
     """
     global _held
     stage = _held  # read once: a finalizer may empty the slot at any time
@@ -201,45 +166,22 @@ def _scores(pop: Population, cfg: OracleConfig, decided) -> _Stage:
         stage = None  # the old stage is freed before the new one is built
         _drop_stage()
         stage = _held = _Stage(pop, cfg)
-    if not stage.rest_scored and not decided(stage.dm, stage.penalty, stage.violations):
-        stage.score_rest(pop)
     return stage
 
 
 def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
-    """Best mitigation over all candidates meeting the violation cap K.
-
-    If a trend-side candidate (w.e > 0) within the cap has DM > 0, the other
-    candidates, whose DM is exactly 0, are not scored.
-    """
+    """Best mitigation over the candidates meeting the violation cap K."""
     _require_plane(pop)
-    stage = _scores(
-        pop, cfg, lambda dm, _, violations: np.any((violations <= cfg.K) & (dm > 0)))
-    W, B, dm, violations = stage.W, stage.B, stage.dm, stage.violations
-    feasible = violations <= cfg.K
-    if not np.any(feasible):
-        least = int(np.argmin(violations))
-        raise NoFeasibleCandidateError(
-            f"no candidate satisfies the cap K = {cfg.K}; "
-            f"best candidate violates {int(violations[least])}",
-            w=W[least].copy(),  # not a view into the held stage
-            b=float(B[least]),
-            violations=int(violations[least]),
-        )
-    masked = np.where(feasible, dm, -np.inf)
-    best = int(np.argmax(masked))
-    return _exact_result(pop, W[best], B[best], None, W.shape[0], True)
+    stage = _scores(pop, cfg)
+    best = int(np.argmax(np.where(stage.violations <= cfg.K, stage.dm, -np.inf)))
+    return _exact_result(pop, stage.W[best], stage.B[best], None, stage.W.shape[0], True)
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
-    """The best of its candidate set on -mitigation + lam * squared hinges.
-
-    If a trend-side candidate (w.e > 0) scores below 0, the other candidates,
-    which score lam * penalty >= 0, are not scored.
-    """
+    """The best of its candidate set on -mitigation + lam * squared hinges."""
     _require_plane(pop)
     _require_lambda(lam)
-    stage = _scores(pop, cfg, lambda dm, penalty, _: np.any(-dm + lam * penalty < 0))
+    stage = _scores(pop, cfg)
     best = int(np.argmin(-stage.dm + lam * stage.penalty))
     return _exact_result(pop, stage.W[best], stage.B[best], lam, stage.W.shape[0], True)
 

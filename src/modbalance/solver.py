@@ -150,7 +150,8 @@ class SolveResult:
     its trial evaluations, accepted or rejected, and whether the returned
     point passes the stationarity test. For ``polish_penalized`` they are the
     poll count and whether the step fell below its tolerance, and for the
-    oracles the size of the candidate set and ``True``.
+    oracles the size of their candidate set (the do-nothing row and the search
+    rows with w.e > 0) and ``True``.
     """
 
     moderator: LinearModerator
@@ -458,7 +459,14 @@ def _exact_offsets(P: np.ndarray, S: np.ndarray, lam: float) -> tuple[np.ndarray
     best = np.argmin(J, axis=1)[:, None]
     b, J = b[row, best][:, 0], J[row, best][:, 0]
     gains = (J < 0.0) & np.all(S > 0, axis=1)
-    return np.where(gains, b, -np.max(Q, axis=1) - 1.0), np.where(gains, J, 0.0)
+    return np.where(gains, b, _all_benign_offset(Q)), np.where(gains, J, 0.0)
+
+
+def _all_benign_offset(Q: np.ndarray):
+    """-(m + 1 + |m|) for m the largest of ideal-point scores ``Q`` (last axis):
+    an offset leaving every ideal point benign, by a margin that scales with m."""
+    m = np.max(Q, axis=-1)
+    return -(m + 1.0 + np.abs(m))
 
 
 def _tangent_basis(w: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Shared test oracles: the per-user best response, utility and mitigation
 by definition, exhaustive utility grids, regime sampling, random moderated
 populations, the ideal-point hinge and the exact penalized objective, the
-oracle's candidate set built by nested loops, the d = 2 oracles as full
-scans, and PGD run one restart at a time."""
+oracle's search rows built by nested loops, the d = 2 oracles' candidate set
+and picks by definition, and PGD run one restart at a time."""
 
 import numpy as np
 
@@ -10,7 +10,6 @@ from modbalance import (
     BENIGN_TOL,
     BestResponseResult,
     LinearModerator,
-    NoFeasibleCandidateError,
     Population,
     ResponseCase,
     TRIVIAL,
@@ -20,7 +19,8 @@ from modbalance import (
     project_hyperplane,
 )
 from modbalance.oracle import _candidates
-from modbalance.solver import _A_MIN, _TOL_GRAD, _branch_terms, _exact_result, _initial_point
+from modbalance.solver import (_A_MIN, _TOL_GRAD, _all_benign_offset, _branch_terms, _exact_result,
+                               _initial_point)
 
 
 def utility(z, u, e, f):
@@ -242,29 +242,30 @@ def loop_candidates(pop, cfg):
     return np.vstack(ws), np.array(bs)
 
 
-def reference_oracle_2d(pop, cfg):
-    """``oracle_2d`` as a full scan: one ``halfspace_scores`` call over every candidate."""
+def reference_candidates(pop, cfg):
+    """The d = 2 oracles' candidate set by definition, with its scores: the
+    do-nothing halfspace (normal e/|e| and the all-benign offset of its
+    ideal-point scores), then the rows of ``_candidates`` with w.e > 0 in
+    their order, all scored by one ``halfspace_scores`` call."""
+    e = pop.trend.e
+    w = e / np.linalg.norm(e)
+    b = _all_benign_offset(pop.feature_matrix @ w + (w @ e) / (2.0 * pop.costs))
     W, B = _candidates(pop, cfg)
-    dm, _, violations, _ = halfspace_scores(pop, W, B)
-    feasible = violations <= cfg.K
-    if not np.any(feasible):
-        least = int(np.argmin(violations))
-        raise NoFeasibleCandidateError(
-            f"no candidate satisfies the cap K = {cfg.K}; "
-            f"best candidate violates {int(violations[least])}",
-            w=W[least],
-            b=float(B[least]),
-            violations=int(violations[least]),
-        )
-    masked = np.where(feasible, dm, -np.inf)
-    best = int(np.argmax(masked))
+    ahead = W @ e > 0
+    W, B = np.vstack([w, W[ahead]]), np.concatenate([[b], B[ahead]])
+    return W, B, halfspace_scores(pop, W, B)
+
+
+def reference_oracle_2d(pop, cfg):
+    """``oracle_2d`` by definition: the most mitigating candidate within the cap."""
+    W, B, (dm, _, violations, _) = reference_candidates(pop, cfg)
+    best = int(np.argmax(np.where(violations <= cfg.K, dm, -np.inf)))
     return _exact_result(pop, W[best], B[best], None, W.shape[0], True)
 
 
 def reference_oracle_penalized_2d(pop, lam, cfg):
-    """``oracle_penalized_2d`` as a full scan: one ``halfspace_scores`` call over every candidate."""
-    W, B = _candidates(pop, cfg)
-    dm, penalty, _, _ = halfspace_scores(pop, W, B)
+    """``oracle_penalized_2d`` by definition: the candidate of least -dm + lam * penalty."""
+    W, B, (dm, penalty, _, _) = reference_candidates(pop, cfg)
     best = int(np.argmin(-dm + lam * penalty))
     return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
 

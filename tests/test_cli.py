@@ -12,7 +12,6 @@ import pytest
 from modbalance import (
     CalibrationTarget,
     MixtureSpec,
-    NoFeasibleCandidateError,
     OracleConfig,
     SolverConfig,
     calibrate_lambda,
@@ -362,6 +361,19 @@ class TestOracleCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: lam must be nonnegative and finite, got nan\n"
 
+    @pytest.mark.parametrize("mode", ["constrained", "penalized"])
+    @pytest.mark.parametrize("lam", ["nan", "-3"])
+    def test_rejects_a_bad_lambda_in_either_mode(self, tmp_path, small_pop, capsys, mode, lam):
+        # the constrained search ignores lambda, but its row and footer print it
+        out = tmp_path / "o.csv"
+        rc = run(["oracle", "--data", str(small_pop), "--out", str(out), "--mode", mode,
+                  "--lambda", lam])
+        assert rc == 2
+        value = "nan" if lam == "nan" else "-3.0"
+        assert capsys.readouterr().err == (
+            f"error: lam must be nonnegative and finite, got {value}\n")
+        assert not out.exists()
+
 
 class TestResultRows:
     @pytest.mark.parametrize("command, flags", [
@@ -545,21 +557,6 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot read config {cfg}: ") and "No such file" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_no_feasible_candidate_reports_the_least_violating(
-        self, tmp_path, small_pop, capsys, monkeypatch
-    ):
-        def infeasible(pop, cfg):
-            raise NoFeasibleCandidateError("no candidate meets K = 0", np.array([0.6, 0.8]),
-                                           -0.25, 3)
-
-        monkeypatch.setattr(cli, "oracle_2d", infeasible)
-        out = tmp_path / "o.csv"
-        assert run(["oracle", "--data", str(small_pop), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: no candidate meets K = 0 (least-violating candidate: "
-            "w = [0.6, 0.8], b = -0.25, violations = 3)\n")
-        assert not out.exists()
-
     def test_missing_data_file(self, tmp_path):
         assert run(["solve", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "r.csv")]) == 2
@@ -650,9 +647,11 @@ _README_JOBS = [
     ("generate --seed 7 --d 2 --n 50 --k 5 --out pop2.csv", {
         "pop2.csv": "7f0859ac9d96efcb95318401837739140281477ee627b35b36f25dde2e23bb4c"}),
     ("oracle --data pop2.csv --mode penalized --lambda 1.0 --out oracle.csv", {
-        "oracle.csv": "30efd0ad71cff46de7f038d3f1d9df9b5485e82b5f1884d1a06d425002529e92"}),
+        "oracle.csv": "41eb12743852cc06c7dbdf0c5f020c85519631883c8d5ab47653e22e9d83da2e"}),
     ("oracle --data pop2.csv --mode constrained --max-violations 5 --out oracle_k5.csv", {
-        "oracle_k5.csv": "bd4329e4fb720439c5da4929020bfee0dddd7f9931c3f93a386281167f440fb8"}),
+        "oracle_k5.csv": "05723544e2d4f68e9efab37f8a33b5e243ba078dfc7d0776ae7a8d3ec75c220f"}),
+    ("oracle --data pop2.csv --out oracle_k0.csv", {
+        "oracle_k0.csv": "13e5c6b9c4de42fe92a4d9e38a1b9f5a6e0c39c044c297e14569330c343a9d97"}),
     ("toy --out toy.csv", {
         "toy.csv": "0b374e2c9bac5e7b59026e80b777f1eb20fa1b84db99bae6a6b92f771cdb51f1"}),
 ]

@@ -247,6 +247,20 @@ class TestLoadErrors:
             fh.write("# d = 2\n# n = 20\n# seed = 5\n")
         assert load(path) == pop
 
+    def test_conflicting_trend_footer_is_rejected(self, tmp_path):
+        path = self._write(tmp_path, "# d = 2\n# trend = 1,0\nx_0,x_1,c\n0.5,0.5,1.0\n"
+                                     "# trend = 0,1\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load(path)
+        assert str(err.value) == "line 5: metadata trend = 0,1 disagrees with trend = 1,0 on line 2"
+        assert err.value.line == 5
+
+    def test_conflicting_n_is_rejected_even_when_the_last_matches(self, tmp_path):
+        path = self._write(tmp_path, "# n = 3\n# trend = 1,0\nx_0,x_1,c\n0.5,0.5,1.0\n"
+                                     "0.1,0.2,1.0\n# n = 2\n")
+        with pytest.raises(DatasetFormatError,
+                           match="^line 6: metadata n = 2 disagrees with n = 3 on line 1$"):
+            load(path)
 
 
 def whole_file_text(pop):

@@ -6,14 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-import _helpers
 import modbalance.oracle
 from _helpers import (hinge_penalty, hinge_violations, loop_candidates, reference_oracle_2d,
                       reference_oracle_penalized_2d)
 from modbalance import (
     LinearModerator,
     MixtureSpec,
-    NoFeasibleCandidateError,
     OracleConfig,
     Population,
     SolverConfig,
@@ -27,6 +25,7 @@ from modbalance import (
     toy_disk,
 )
 from modbalance.oracle import _candidates
+from modbalance.solver import _exact_result
 
 LINE3 = Population.from_arrays(
     np.array([[0.3, 0.0], [0.3, 0.1], [0.3, -0.1]]), np.ones(3), [1.0, 0.0]
@@ -75,7 +74,7 @@ class TestOracle2d:
         assert not np.signbit(res.objective)
 
     def test_zero_cap_is_always_feasible(self):
-        # anti-trend directions give violation-free candidates, so K = 0 works
+        # the do-nothing candidate filters no ideal point, so K = 0 is met
         cfg = OracleConfig(K=0)
         pop = generate(MixtureSpec(d=2, n=15, k=3, seed=9))
         res = oracle_2d(pop, cfg)
@@ -185,39 +184,19 @@ def assert_same_result(res, ref):
 
 
 class TestTrendSideFirst:
-    """The oracles score the candidates with w.e > 0 first, and pick what a
-    full scan over every candidate picks."""
+    """The oracles' candidates are the do-nothing row and the search rows with
+    w.e > 0, and each oracle picks what its definition over them picks."""
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_oracles_equal_a_full_scan(self, name):
         pop = TREND_POPULATIONS[name]
-        # at 1e9 the README population's best J is +4.9e-23: no trend-side
-        # row scores below 0, so the rest are scored too
+        # at 1e9 no trend-side row of the README population scores below 0
         for lam in (0.0, 1.0, 1e9):
             assert_same_result(oracle_penalized_2d(pop, lam, OracleConfig()),
                                reference_oracle_penalized_2d(pop, lam, OracleConfig()))
         for k_cap in (0, 5):
             assert_same_result(oracle_2d(pop, OracleConfig(K=k_cap)),
                                reference_oracle_2d(pop, OracleConfig(K=k_cap)))
-
-    def test_infeasible_cap_reports_the_full_scan_least_violating_row(self, monkeypatch):
-        # K = 0 is met by the all-benign boundaries; a scorer that adds n + 1
-        # to every violation count leaves no candidate within the cap
-        def crowded(pop, W, B):
-            dm, penalty, violations, filtered = halfspace_scores(pop, W, B)
-            return dm, penalty, violations + pop.n + 1, filtered
-
-        monkeypatch.setattr(modbalance.oracle, "halfspace_scores", crowded)
-        monkeypatch.setattr(_helpers, "halfspace_scores", crowded)
-        pop = TREND_POPULATIONS["readme"]
-        with pytest.raises(NoFeasibleCandidateError) as got:
-            oracle_2d(pop, OracleConfig(K=0))
-        with pytest.raises(NoFeasibleCandidateError) as want:
-            reference_oracle_2d(pop, OracleConfig(K=0))
-        assert str(got.value) == str(want.value)
-        assert got.value.w.tobytes() == want.value.w.tobytes()
-        assert np.float64(got.value.b).tobytes() == np.float64(want.value.b).tobytes()
-        assert got.value.violations == want.value.violations
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_rows_off_the_trend_side_mitigate_nothing(self, name):
@@ -229,8 +208,8 @@ class TestTrendSideFirst:
         assert np.all(dm[off] == 0.0)
 
     def test_only_trend_side_rows_are_scored_when_one_wins(self, monkeypatch):
-        # the stage scores the trend side once and the rest when a call first
-        # needs them; an equal but new population gets a stage of its own
+        # the stage scores the trend side once, and never the rest; an equal
+        # but new population gets a stage of its own
         scored = []
 
         def counting(pop, W, B):
@@ -242,13 +221,77 @@ class TestTrendSideFirst:
         pop, twin = (Population.from_arrays(readme.feature_matrix, readme.costs, readme.trend.e)
                      for _ in range(2))
         # lam None: oracle_2d at K = 5, which reuses the stage built at K = 0
-        for who, lam, rows in ((pop, 1.0, 10_180), (pop, 1e9, 10_280), (pop, None, 0),
+        for who, lam, rows in ((pop, 1.0, 10_180), (pop, 1e9, 0), (pop, None, 0),
                                (twin, 1.0, 10_180)):
             scored.clear()
             res = (oracle_2d(who, OracleConfig(K=5)) if lam is None
                    else oracle_penalized_2d(who, lam, OracleConfig()))
             assert sum(scored) == rows
-            assert res.iterations_used == 20_460
+            assert res.iterations_used == 10_181
+
+
+def _scaled(pop, scale):
+    """``pop`` with every feature multiplied by ``scale``."""
+    return Population.from_arrays(pop.feature_matrix * scale, pop.costs, pop.trend.e)
+
+
+SCALES = (1.0, 1e16, 1e17)
+
+
+def _full_scan(pop, lam, cfg):
+    """The best of every ``_candidates`` row, w.e <= 0 included, by one
+    ``halfspace_scores`` call: -dm + lam * penalty, or (lam None) the most
+    mitigating row within the cap."""
+    W, B = _candidates(pop, cfg)
+    dm, penalty, violations, _ = halfspace_scores(pop, W, B)
+    if lam is None:
+        best = int(np.argmax(np.where(violations <= cfg.K, dm, -np.inf)))
+    else:
+        best = int(np.argmin(-dm + lam * penalty))
+    return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
+
+
+class TestDoNothingRow:
+    """The candidate set's first row filters no ideal point, so no pick is
+    worse than doing nothing and every cap is met."""
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_it_scores_zero_at_any_scale(self, name):
+        for scale in SCALES:
+            pop = _scaled(TREND_POPULATIONS[name], scale)
+            stage = modbalance.oracle._scores(pop, OracleConfig())
+            e = pop.trend.e
+            assert stage.W[0].tobytes() == (e / np.linalg.norm(e)).tobytes()
+            scores = halfspace_scores(pop, stage.W[:1], stage.B[:1])
+            assert [part.tolist() for part in scores] == [[0.0], [0.0], [0], [0]], scale
+            assert (stage.dm[0], stage.penalty[0], stage.violations[0]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_zero_cap_returns_it(self, name):
+        # a feasible row at K = 0 filters no ideal point, so it mitigates nothing
+        for scale in SCALES:
+            pop = _scaled(TREND_POPULATIONS[name], scale)
+            res = oracle_2d(pop, OracleConfig(K=0))
+            assert (res.dm, res.violations) == (0.0, 0), scale
+            stage = modbalance.oracle._held
+            assert (res.moderator.w.tobytes(), res.moderator.b) == (stage.W[0].tobytes(),
+                                                                    stage.B[0])
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_penalized_objective_is_never_positive(self, name):
+        pop = TREND_POPULATIONS[name]
+        for lam in (0.0, 0.1, 1.0, 10.0, 100.0, 1e9):
+            assert oracle_penalized_2d(pop, lam, OracleConfig()).objective <= 0.0, lam
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_no_worse_than_a_scan_of_every_row(self, name):
+        pop = TREND_POPULATIONS[name]
+        for lam in (0.0, 0.1, 1.0, 10.0, 100.0, 1e9):
+            res = oracle_penalized_2d(pop, lam, OracleConfig())
+            assert res.objective <= _full_scan(pop, lam, OracleConfig()).objective, lam
+        for k_cap in (0, 1, 5, 10):
+            res = oracle_2d(pop, OracleConfig(K=k_cap))
+            assert res.dm >= _full_scan(pop, None, OracleConfig(K=k_cap)).dm, k_cap
 
 
 def _fresh(pop):
@@ -260,8 +303,8 @@ class TestStage:
     """One held stage serves every lam and every cap on the same population
     object and candidate set, and changes no output."""
 
-    # constrained calls before penalized ones, lam = 1e9 (which scores the
-    # rest on the README population) before K = 0, and after lam = 1
+    # constrained calls before penalized ones, and lam = 1e9, whose README
+    # pick is the do-nothing row, before K = 0 and after lam = 1
     ORDERS = (
         ("K5", "K0", "lam1", "lam1e9", "lam0"),
         ("lam1", "lam1e9", "K0", "lam0", "K5"),
@@ -328,26 +371,6 @@ class TestStage:
         monkeypatch.setattr(modbalance.oracle, "_candidates", watching)
         oracle_penalized_2d(second, 1.0, OracleConfig())
         assert seen == [True]
-
-    @pytest.mark.parametrize("lam", [1.0, 1e9])
-    def test_infeasible_cap_on_a_warm_stage_reports_the_full_scan_row(self, monkeypatch, lam):
-        # lam = 1 leaves the rest for oracle_2d to score, lam = 1e9 scores them first
-        def crowded(pop, W, B):
-            dm, penalty, violations, filtered = halfspace_scores(pop, W, B)
-            return dm, penalty, violations + pop.n + 1, filtered
-
-        monkeypatch.setattr(modbalance.oracle, "halfspace_scores", crowded)
-        monkeypatch.setattr(_helpers, "halfspace_scores", crowded)
-        pop = TREND_POPULATIONS["readme"]
-        oracle_penalized_2d(pop, lam, OracleConfig())
-        with pytest.raises(NoFeasibleCandidateError) as got:
-            oracle_2d(pop, OracleConfig(K=0))
-        with pytest.raises(NoFeasibleCandidateError) as want:
-            reference_oracle_2d(pop, OracleConfig(K=0))
-        assert str(got.value) == str(want.value)
-        assert got.value.w.tobytes() == want.value.w.tobytes()
-        assert np.float64(got.value.b).tobytes() == np.float64(want.value.b).tobytes()
-        assert got.value.violations == want.value.violations
 
 
 class TestToyDisk:
