@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BENIGN_TOL, LinearModerator, Population, TrivialModerator
+from .model import (BENIGN_TOL, LinearModerator, Population, TrivialModerator,
+                    _require_same_dimension)
 
 __all__ = ["MetricReport", "halfspace_scores", "dm_closed_form_linear", "metrics",
            "generalization_gap"]
@@ -121,6 +122,7 @@ def halfspace_scores(
 
 def _halfspace_report(pop: Population, f: LinearModerator) -> tuple[MetricReport, float, int]:
     """The report, penalty and violation count of ``f``'s one ``halfspace_scores`` row."""
+    _require_same_dimension(pop, f)
     dm, penalty, violations, filtered = (
         v[0].item() for v in halfspace_scores(pop, f.w[None, :], np.array([f.b])))
     n = pop.n

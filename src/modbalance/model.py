@@ -246,6 +246,12 @@ class TrivialModerator(Moderator):
 TRIVIAL = TrivialModerator()
 
 
+def _require_same_dimension(pop: Population, f: Moderator) -> None:
+    """Reject a halfspace whose dimension is not ``pop``'s; ``TRIVIAL`` has none."""
+    if isinstance(f, LinearModerator) and f.w.shape[0] != pop.d:
+        raise ValueError(f"moderator dimension {f.w.shape[0]} != population d = {pop.d}")
+
+
 class ResponseCase(IntEnum):
     """Regime of a best response; :func:`best_responses` reports these codes."""
 
@@ -309,6 +315,7 @@ def best_responses(pop: Population,
     :data:`TRIVIAL`; only users whose ideal point is filtered are projected,
     all in one :func:`project_hyperplane` call.
     """
+    _require_same_dimension(pop, f)
     X, costs, e = pop.feature_matrix, pop.costs, pop.trend.e
     Z = X + e / (2.0 * costs)[:, None]
     cases = np.full(pop.n, ResponseCase.UNCONSTRAINED, dtype=np.int8)

@@ -1,46 +1,39 @@
 """Brute-force reference solvers for two-dimensional desk-scale instances.
 
 Exact optimization over halfspaces is combinatorially hard. In the plane each
-oracle returns the best of a finite candidate set. It starts with the
-do-nothing halfspace: normal e/|e| and an offset that leaves every ideal point
-benign, so DM = 0, penalty = 0 and no violations. The rows of the search with
-w.e > 0 follow in order: a direction/offset grid, boundaries through every
-data point and ideal point, and (``use_candidates``) through every pair of
-them. That is not always the optimum: on the 60 criterion-5 records of the
-acceptance suite, ``polish_penalized`` reaches a lower objective than
-``oracle_penalized_2d`` in 43, by up to 0.103. The candidates are scored by
-:func:`~modbalance.metrics.halfspace_scores`, the closed form every halfspace
-score uses, with its ``BENIGN_TOL``. The returned ``SolveResult`` re-scores the
-winner by one ``halfspace_scores`` row, as every solver's result does, and its
-``objective`` is computed from that row, so it agrees exactly with the
-record's ``dm`` and ``penalty``.
+oracle returns the best of the candidate set ``_candidates`` builds: the
+do-nothing halfspace, which leaves every ideal point benign (DM = 0, penalty
+0, no violations), then the search rows with w.e > 0 (a direction/offset
+grid, boundaries through every data point and ideal point, and, with
+``use_candidates``, through every pair of them). That is not always the
+optimum: on the 60 criterion-5 records of the acceptance suite,
+``polish_penalized`` reaches a lower objective than ``oracle_penalized_2d`` in
+43, by up to 0.103. A row with w.e <= 0 is not built: users move only along
+e, so each trend advance s_i = w.e/(2c_i) is <= 0, no ideal point scores above
+its origin, DM is exactly 0 and lam * penalty >= 0 never beats doing nothing.
+The do-nothing row wins every tie at 0, so a K = 0 call returns it.
+``iterations_used`` is the size of the set; the grids are nested under
+doubling of their step counts, so refining the search never hurts.
 
-Users move only along the trend e, so a search row whose normal has w.e <= 0
-mitigates nothing: each user's trend advance s_i = w.e/(2c_i) is <= 0, so the
-ideal point's score y_i = v_i + s_i never exceeds the origin's v_i, and no
-user has a benign origin and a filtered ideal point. Its DM is exactly 0 and
-its penalized objective lam * penalty is >= 0, so it never beats the
-do-nothing row, which scores 0 and meets every cap; such rows are left out.
-The do-nothing row comes first and so wins every tie at 0: a K = 0 call, whose
-feasible rows all have DM = 0, returns it. ``iterations_used`` is the size of
-the candidate set.
+The search rows are scored by one :func:`~modbalance.metrics.halfspace_scores`
+call, with its ``BENIGN_TOL``; the do-nothing row's (0, 0, 0) are set. The
+``SolveResult`` re-scores the pick by one row, so its ``objective`` agrees
+exactly with its ``dm`` and ``penalty``, but those bits can differ from the
+batch's. So ``oracle_2d`` passes over a pick whose record breaks the cap K,
+and ``oracle_penalized_2d`` returns the do-nothing record when its pick's
+scores J > 0: every record meets its cap and scores J <= 0.
 
-Neither the candidates nor their scores depend on lam or K, so one stage holds
-them, with their DM, penalty and violation arrays, for the last population
-object and candidate set (the config with its cap cleared) an oracle was
-called with; a call with both the same reuses it, and picks by one argmin or
-argmax. A ``Population`` is frozen and its arrays are read-only copies, so the
-object's identity stands for its contents. The stage holds its population
-only weakly and is dropped when the population dies, and the old stage is
-dropped before a new one is built.
-
-The candidate grids are nested under doubling of their step counts, so
-refining the search can only improve the reported best.
+Neither the candidates nor their scores depend on lam or K, so one slot holds
+them for the last population object and candidate set (the config with its
+cap cleared) an oracle was called with, and a call with both the same reuses
+them. A ``Population`` is frozen and its arrays are read-only copies, so its
+identity stands for its contents. The slot holds the population itself, so no
+other object can take its id, and keeps it alive until an oracle call on
+another population object or candidate set empties the slot for its own.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,25 +68,28 @@ class OracleConfig:
 
 
 def _candidates(pop: Population, cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The search's (w, b) rows, unit-normalized normals; the oracles keep
-    those with w.e > 0, after the do-nothing row.
-
-    Per grid direction: the offset grid, then boundaries through each point,
-    then through each ideal point. Then, if enabled, the boundary through
-    each pair of distinct points (data and ideal), once per orientation.
+    """The oracles' candidate set, (w, b) rows with unit normals. Row 0 is the
+    do-nothing halfspace: normal e/|e| and the all-benign offset of its
+    ideal-point scores. Then, per grid direction with w.e > 0, the offset
+    grid and the boundaries through each point, then each ideal point. Then,
+    if enabled, the boundary through each pair of distinct points (data and
+    ideal) in its one orientation with w.e > 0, and none where w.e = 0.
     """
-    X = pop.feature_matrix
-    ideal = X + pop.trend.e / (2.0 * pop.costs)[:, None]
+    X, e = pop.feature_matrix, pop.trend.e
+    ideal = X + e / (2.0 * pop.costs)[:, None]
+    w0 = e / np.linalg.norm(e)
+    b0 = _all_benign_offset(X @ w0 + (w0 @ e) / (2.0 * pop.costs))
 
     thetas = 2.0 * np.pi * np.arange(cfg.angle_steps) / cfg.angle_steps
     directions = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    directions = directions[directions @ e > 0]
     proj = directions @ X.T
     lo = np.min(proj, axis=1, keepdims=True)
     hi = np.max(proj, axis=1, keepdims=True)
     fractions = np.arange(cfg.offset_steps + 1) / cfg.offset_steps
     offsets = np.hstack([lo + (hi - lo) * fractions, proj, directions @ ideal.T])
-    W = np.repeat(directions, offsets.shape[1], axis=0)
-    B = -offsets.ravel()
+    W = np.vstack([w0, np.repeat(directions, offsets.shape[1], axis=0)])
+    B = np.concatenate([[b0], -offsets.ravel()])
 
     if cfg.use_candidates:
         points = np.vstack([X, ideal])
@@ -103,9 +99,10 @@ def _candidates(pop: Population, cfg: OracleConfig) -> tuple[np.ndarray, np.ndar
         keep = norm >= 1e-12
         w = np.stack([direction[keep, 1], -direction[keep, 0]], axis=1) / norm[keep, None]
         b = -np.sum(w * points[i[keep]], axis=1)
-        # each boundary once per orientation: (w, b), then (-w, -b)
-        W = np.vstack([W, np.stack([w, -w], axis=1).reshape(-1, 2)])
-        B = np.concatenate([B, np.stack([b, -b], axis=1).ravel()])
+        side = w @ e  # (-w, -b) is the same boundary, with -side
+        ahead = side != 0
+        W = np.vstack([W, np.where(side[:, None] > 0, w, -w)[ahead]])
+        B = np.concatenate([B, np.where(side > 0, b, -b)[ahead]])
 
     return W, B
 
@@ -115,75 +112,50 @@ def _require_plane(pop: Population):
         raise ValueError(f"oracle search requires d = 2, got d = {pop.d}")
 
 
-class _Stage:
-    """A population's candidates and their scores, for every lam and K.
+# The held stage: (population, config with K cleared, W, B, dm, penalty, violations), or None.
+_held: tuple | None = None
 
-    Row 0 is the do-nothing halfspace, whose scores (0, 0, 0) are set, not
-    computed; the rest are the search rows with w.e > 0, scored by one
-    ``halfspace_scores`` call. The stage refers to its population only
-    weakly, and a finalizer empties the slot when the population dies.
-    """
 
-    def __init__(self, pop: Population, cfg: OracleConfig):
-        self.pop = weakref.ref(pop)
-        self.key = replace(cfg, K=0)
-        e = pop.trend.e
+def _stage(pop: Population, cfg: OracleConfig) -> tuple:
+    """(W, B, dm, penalty, violations) of ``pop``'s candidates under ``cfg``:
+    the held stage if it holds this very ``pop`` object and a config equal to
+    ``cfg`` up to K. Otherwise the slot is emptied, so the old stage is freed
+    before the new one is built."""
+    global _held
+    key = replace(cfg, K=0)
+    if _held is None or _held[0] is not pop or _held[1] != key:
+        _held = None
         W, B = _candidates(pop, cfg)
-        ahead = W @ e > 0
-        W, B = W[ahead], B[ahead]
-        scores = halfspace_scores(pop, W, B)[:3]
-        w = e / np.linalg.norm(e)
-        b = _all_benign_offset(pop.feature_matrix @ w + (w @ e) / (2.0 * pop.costs))
-        self.W, self.B = np.insert(W, 0, w, axis=0), np.insert(B, 0, b)
-        self.dm, self.penalty, self.violations = (np.insert(part, 0, 0) for part in scores)
-        self.finalizer = weakref.finalize(pop, _drop_stage)
-
-
-# The one held stage, or None.
-_held: _Stage | None = None
-
-
-def _drop_stage():
-    """Empty the slot and detach the stage's finalizer."""
-    global _held
-    stage, _held = _held, None
-    if stage is not None:
-        stage.finalizer.detach()
-
-
-def _scores(pop: Population, cfg: OracleConfig) -> _Stage:
-    """The stage of ``pop``'s candidates under ``cfg``.
-
-    The held stage is reused when it was built for this very ``pop`` object
-    and a config equal to ``cfg`` up to the cap K; otherwise it is dropped and
-    a new one built. Identity is a valid key because a ``Population`` is
-    frozen and holds read-only copies of its arrays, and a stage leaves the
-    slot when its population dies, so no later object can take its place.
-    """
-    global _held
-    stage = _held  # read once: a finalizer may empty the slot at any time
-    if stage is None or stage.pop() is not pop or stage.key != replace(cfg, K=0):
-        stage = None  # the old stage is freed before the new one is built
-        _drop_stage()
-        stage = _held = _Stage(pop, cfg)
-    return stage
+        scores = halfspace_scores(pop, W[1:], B[1:])[:3]
+        _held = (pop, key, W, B, *(np.insert(part, 0, 0) for part in scores))
+    return _held[2:]
 
 
 def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
-    """Best mitigation over the candidates meeting the violation cap K."""
+    """Best mitigation over the candidates meeting the violation cap K; a pick
+    whose record breaks the cap gives way to the next, at the latest row 0."""
     _require_plane(pop)
-    stage = _scores(pop, cfg)
-    best = int(np.argmax(np.where(stage.violations <= cfg.K, stage.dm, -np.inf)))
-    return _exact_result(pop, stage.W[best], stage.B[best], None, stage.W.shape[0], True)
+    W, B, dm, _, violations = _stage(pop, cfg)
+    feasible = violations <= cfg.K
+    while True:
+        best = int(np.argmax(np.where(feasible, dm, -np.inf)))
+        result = _exact_result(pop, W[best], B[best], None, W.shape[0], True)
+        if result.violations <= cfg.K:
+            return result
+        feasible[best] = False
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
-    """The best of its candidate set on -mitigation + lam * squared hinges."""
+    """The best of its candidate set on -mitigation + lam * squared hinges,
+    or the do-nothing row if the pick's record scores above 0."""
     _require_plane(pop)
     _require_lambda(lam)
-    stage = _scores(pop, cfg)
-    best = int(np.argmin(-stage.dm + lam * stage.penalty))
-    return _exact_result(pop, stage.W[best], stage.B[best], lam, stage.W.shape[0], True)
+    W, B, dm, penalty, _ = _stage(pop, cfg)
+    best = int(np.argmin(-dm + lam * penalty))
+    result = _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
+    if result.objective > 0.0:
+        result = _exact_result(pop, W[0], B[0], lam, W.shape[0], True)
+    return result
 
 
 def toy_disk(

@@ -50,7 +50,7 @@ import numpy as np
 
 from .metrics import MetricReport, _halfspace_report
 from .model import (LinearModerator, Population, SettingError, _require_int, _require_lambda,
-                    _require_positive, _require_seed, _stream)
+                    _require_positive, _require_same_dimension, _require_seed, _stream)
 
 __all__ = [
     "SolverConfig",
@@ -207,7 +207,7 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, eps: float, lam):
     """Summed surrogate loss and its exact gradient at R points at once.
 
     Row r of ``Z`` (R, d + 1) is one point [w | b]; ``half_inv_cost`` is
-    1/(2c) per user and ``lam`` a scalar or an (R, 1) column, row r's lam.
+    1/(2c) per user and ``lam`` an (R, 1) column, row r's lam.
     Returns the objectives (R,) and the gradients G (R, d + 1) in the same
     layout. Rows beyond max(1, ``_PGD_BLOCK_ENTRIES`` // n) are split into
     blocks of that many, each evaluated by a call of its own, so no (rows, n)
@@ -229,12 +229,11 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, eps: float, lam):
     """
     R, size = Z.shape[0], max(1, _PGD_BLOCK_ENTRIES // X.shape[0])
     if R > size:
-        column = np.ndim(lam) > 0
         obj, G = np.empty(R), np.empty_like(Z)
         for start in range(0, R, size):
             block = slice(start, start + size)
             obj[block], G[block] = _objective_and_gradient(
-                Z[block], X, e, half_inv_cost, eps, lam[block] if column else lam)
+                Z[block], X, e, half_inv_cost, eps, lam[block])
         return obj, G
     W = np.ascontiguousarray(Z[:, :-1])
     a_raw = np.matmul(W[:, None, :], e) * half_inv_cost
@@ -253,10 +252,11 @@ def _objective_and_gradient(Z, X, e, half_inv_cost, eps: float, lam):
 def surrogate_gradient(
     w, b: float, pop: Population, cfg: SolverConfig
 ) -> tuple[np.ndarray, float]:
-    """Exact gradient of the summed surrogate loss over the population."""
+    """Exact gradient of the summed surrogate loss over the population: one
+    ``_objective_and_gradient`` row, with ``cfg.lam`` as its (1, 1) column."""
     Z = np.append(np.asarray(w, dtype=np.float64), float(b))[None, :]
-    _, G = _objective_and_gradient(
-        Z, pop.feature_matrix, pop.trend.e, 1.0 / (2.0 * pop.costs), cfg.epsilon, cfg.lam)
+    _, G = _objective_and_gradient(Z, pop.feature_matrix, pop.trend.e, 1.0 / (2.0 * pop.costs),
+                                   cfg.epsilon, np.full((1, 1), cfg.lam))
     return G[0, :-1], float(G[0, -1])
 
 
@@ -529,8 +529,7 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
     -dm + lam * penalty of the returned record.
     """
     _require_lambda(lam)
-    if f.w.shape[0] != pop.d:
-        raise ValueError(f"moderator dimension {f.w.shape[0]} != population d = {pop.d}")
+    _require_same_dimension(pop, f)
     norm = float(np.linalg.norm(f.w))
     W = np.stack([f.w / norm, pop.trend.e / np.linalg.norm(pop.trend.e)])
     offsets, Js = _exact_offsets(W @ pop.feature_matrix.T,

@@ -1,8 +1,8 @@
 """Shared test oracles: the per-user best response, utility and mitigation
 by definition, exhaustive utility grids, regime sampling, random moderated
 populations, the ideal-point hinge and the exact penalized objective, the
-oracle's search rows built by nested loops, the d = 2 oracles' candidate set
-and picks by definition, and PGD run one restart at a time."""
+oracle's search rows built by nested loops, the do-nothing halfspace, the
+d = 2 oracles' picks by definition, and PGD run one restart at a time."""
 
 import numpy as np
 
@@ -242,32 +242,39 @@ def loop_candidates(pop, cfg):
     return np.vstack(ws), np.array(bs)
 
 
-def reference_candidates(pop, cfg):
-    """The d = 2 oracles' candidate set by definition, with its scores: the
-    do-nothing halfspace (normal e/|e| and the all-benign offset of its
-    ideal-point scores), then the rows of ``_candidates`` with w.e > 0 in
-    their order, all scored by one ``halfspace_scores`` call."""
+def do_nothing_row(pop):
+    """The do-nothing halfspace by definition: normal e/|e| and the
+    all-benign offset of its ideal-point scores."""
     e = pop.trend.e
     w = e / np.linalg.norm(e)
-    b = _all_benign_offset(pop.feature_matrix @ w + (w @ e) / (2.0 * pop.costs))
+    return w, _all_benign_offset(pop.feature_matrix @ w + (w @ e) / (2.0 * pop.costs))
+
+
+def reference_candidates(pop, cfg):
+    """The d = 2 oracles' candidate set, ``_candidates``, with the scores of
+    every row by one ``halfspace_scores`` call."""
     W, B = _candidates(pop, cfg)
-    ahead = W @ e > 0
-    W, B = np.vstack([w, W[ahead]]), np.concatenate([[b], B[ahead]])
     return W, B, halfspace_scores(pop, W, B)
 
 
 def reference_oracle_2d(pop, cfg):
-    """``oracle_2d`` by definition: the most mitigating candidate within the cap."""
+    """``oracle_2d`` by definition: of the candidates within the cap, by
+    decreasing dm and then by row, the first whose record meets the cap."""
     W, B, (dm, _, violations, _) = reference_candidates(pop, cfg)
-    best = int(np.argmax(np.where(violations <= cfg.K, dm, -np.inf)))
-    return _exact_result(pop, W[best], B[best], None, W.shape[0], True)
+    for best in np.argsort(-np.where(violations <= cfg.K, dm, -np.inf), kind="stable"):
+        result = _exact_result(pop, W[best], B[best], None, W.shape[0], True)
+        if result.violations <= cfg.K:
+            return result
 
 
 def reference_oracle_penalized_2d(pop, lam, cfg):
-    """``oracle_penalized_2d`` by definition: the candidate of least -dm + lam * penalty."""
+    """``oracle_penalized_2d`` by definition: the candidate of least
+    -dm + lam * penalty, or the do-nothing row 0 if its record scores J > 0."""
     W, B, (dm, penalty, _, _) = reference_candidates(pop, cfg)
     best = int(np.argmin(-dm + lam * penalty))
-    return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
+    result = _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
+    return result if result.objective <= 0.0 else _exact_result(pop, W[0], B[0], lam,
+                                                                 W.shape[0], True)
 
 
 def single_objective_and_gradient(w, b, X, costs, e, cfg):

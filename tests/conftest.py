@@ -10,4 +10,4 @@ def empty_oracle_stage():
     """Start each test with no oracle stage held, so a test that replaces
     ``halfspace_scores`` sees its own scorer run, not scores an earlier test
     left in the slot."""
-    modbalance.oracle._drop_stage()
+    modbalance.oracle._held = None

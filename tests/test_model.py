@@ -13,7 +13,11 @@ from modbalance import (
     UserProfile,
     best_response,
     best_responses,
+    dm_closed_form_linear,
+    generalization_gap,
     ideal_point,
+    metrics,
+    polish_penalized,
     project_hyperplane,
 )
 
@@ -70,6 +74,24 @@ class TestTypes:
         u = UserProfile([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             u.x[0] = 5.0
+
+
+PLANE = Population.from_arrays([[0.1, 0.2], [-0.3, 0.4]], [1.0, 1.0], E10.e)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: best_responses(PLANE, f),
+    lambda f: best_response(PLANE.users[0], PLANE.trend, f),
+    lambda f: metrics(PLANE, f),
+    lambda f: dm_closed_form_linear(PLANE, f),
+    lambda f: generalization_gap(PLANE, PLANE, f),
+    lambda f: polish_penalized(PLANE, f, 1.0),
+], ids=["best_responses", "best_response", "metrics", "dm_closed_form_linear",
+        "generalization_gap", "polish_penalized"])
+def test_a_moderator_of_another_dimension_is_rejected(call):
+    # every entry point that takes a moderator fails with the same message
+    with pytest.raises(ValueError, match=r"^moderator dimension 3 != population d = 2$"):
+        call(LinearModerator([1.0, 0.0, 0.0], -0.5))
 
 
 class TestPopulation:

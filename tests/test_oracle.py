@@ -1,14 +1,13 @@
 """Brute-force reference searches and the unit-disk toy model."""
 
-import gc
 import weakref
 
 import numpy as np
 import pytest
 
 import modbalance.oracle
-from _helpers import (hinge_penalty, hinge_violations, loop_candidates, reference_oracle_2d,
-                      reference_oracle_penalized_2d)
+from _helpers import (do_nothing_row, hinge_penalty, hinge_violations, loop_candidates,
+                      reference_oracle_2d, reference_oracle_penalized_2d)
 from modbalance import (
     LinearModerator,
     MixtureSpec,
@@ -176,6 +175,13 @@ def _trend_populations():
 TREND_POPULATIONS = dict(_trend_populations())
 
 
+def _off_side_rows(pop, cfg):
+    """The search rows ``_candidates`` does not build: the loop rows with w.e <= 0."""
+    W, B = loop_candidates(pop, cfg)
+    off = W @ pop.trend.e <= 0
+    return W[off], B[off]
+
+
 def assert_same_result(res, ref):
     assert res == ref
     for a, b in ((res.moderator.w, ref.moderator.w), (res.moderator.b, ref.moderator.b),
@@ -201,11 +207,10 @@ class TestTrendSideFirst:
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_rows_off_the_trend_side_mitigate_nothing(self, name):
         pop = TREND_POPULATIONS[name]
-        W, B = _candidates(pop, OracleConfig())
+        W, B = _off_side_rows(pop, OracleConfig())
+        assert W.shape[0] > 0
         dm, _, _, _ = halfspace_scores(pop, W, B)
-        off = W @ pop.trend.e <= 0
-        assert np.any(off)
-        assert np.all(dm[off] == 0.0)
+        assert np.all(dm == 0.0)
 
     def test_only_trend_side_rows_are_scored_when_one_wins(self, monkeypatch):
         # the stage scores the trend side once, and never the rest; an equal
@@ -238,33 +243,40 @@ def _scaled(pop, scale):
 SCALES = (1.0, 1e16, 1e17)
 
 
-def _full_scan(pop, lam, cfg):
-    """The best of every ``_candidates`` row, w.e <= 0 included, by one
-    ``halfspace_scores`` call: -dm + lam * penalty, or (lam None) the most
-    mitigating row within the cap."""
-    W, B = _candidates(pop, cfg)
-    dm, penalty, violations, _ = halfspace_scores(pop, W, B)
+def _every_row(pop, cfg):
+    """Every search row, w.e <= 0 included: the ``_candidates`` rows, then
+    ``_off_side_rows``, with their scores by one ``halfspace_scores`` call."""
+    W, B = (np.concatenate(parts) for parts in zip(_candidates(pop, cfg),
+                                                   _off_side_rows(pop, cfg)))
+    return W, B, halfspace_scores(pop, W, B)
+
+
+def _full_scan(pop, rows, lam, k_cap=None):
+    """The best of ``_every_row``'s ``rows``: -dm + lam * penalty, or (lam
+    None) the most mitigating row within the cap ``k_cap``."""
+    W, B, (dm, penalty, violations, _) = rows
     if lam is None:
-        best = int(np.argmax(np.where(violations <= cfg.K, dm, -np.inf)))
+        best = int(np.argmax(np.where(violations <= k_cap, dm, -np.inf)))
     else:
         best = int(np.argmin(-dm + lam * penalty))
     return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
 
 
 class TestDoNothingRow:
-    """The candidate set's first row filters no ideal point, so no pick is
-    worse than doing nothing and every cap is met."""
+    """The candidate set's first row filters no ideal point, so no record is
+    worse than doing nothing and every cap is met, at any feature scale."""
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_it_scores_zero_at_any_scale(self, name):
         for scale in SCALES:
             pop = _scaled(TREND_POPULATIONS[name], scale)
-            stage = modbalance.oracle._scores(pop, OracleConfig())
+            W, B = _candidates(pop, OracleConfig())
             e = pop.trend.e
-            assert stage.W[0].tobytes() == (e / np.linalg.norm(e)).tobytes()
-            scores = halfspace_scores(pop, stage.W[:1], stage.B[:1])
+            assert W[0].tobytes() == (e / np.linalg.norm(e)).tobytes()
+            scores = halfspace_scores(pop, W[:1], B[:1])
             assert [part.tolist() for part in scores] == [[0.0], [0.0], [0], [0]], scale
-            assert (stage.dm[0], stage.penalty[0], stage.violations[0]) == (0, 0, 0)
+            _, _, dm, penalty, violations = modbalance.oracle._stage(pop, OracleConfig())
+            assert (dm[0], penalty[0], violations[0]) == (0, 0, 0)
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_zero_cap_returns_it(self, name):
@@ -273,25 +285,38 @@ class TestDoNothingRow:
             pop = _scaled(TREND_POPULATIONS[name], scale)
             res = oracle_2d(pop, OracleConfig(K=0))
             assert (res.dm, res.violations) == (0.0, 0), scale
-            stage = modbalance.oracle._held
-            assert (res.moderator.w.tobytes(), res.moderator.b) == (stage.W[0].tobytes(),
-                                                                    stage.B[0])
+            W, B = modbalance.oracle._held[2:4]
+            assert (res.moderator.w.tobytes(), res.moderator.b) == (W[0].tobytes(), B[0])
+
+    @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
+    def test_every_cap_is_met_at_any_scale(self, name):
+        # the pick is made on batch bits, and its one-row record can count
+        # one violation more; such a pick gives way to the next
+        for scale in SCALES:
+            pop = _scaled(TREND_POPULATIONS[name], scale)
+            for k_cap in (1, 2, 5, 10):
+                res = oracle_2d(pop, OracleConfig(K=k_cap))
+                assert res.violations <= k_cap, (scale, k_cap)
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_penalized_objective_is_never_positive(self, name):
-        pop = TREND_POPULATIONS[name]
-        for lam in (0.0, 0.1, 1.0, 10.0, 100.0, 1e9):
-            assert oracle_penalized_2d(pop, lam, OracleConfig()).objective <= 0.0, lam
+        # a pick whose one-row record scores J > 0 gives way to row 0
+        for scale in SCALES:
+            pop = _scaled(TREND_POPULATIONS[name], scale)
+            for lam in (0.0, 0.1, 1.0, 10.0, 100.0, 1e9):
+                res = oracle_penalized_2d(pop, lam, OracleConfig())
+                assert res.objective <= 0.0, (scale, lam)
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_no_worse_than_a_scan_of_every_row(self, name):
         pop = TREND_POPULATIONS[name]
+        rows = _every_row(pop, OracleConfig())
         for lam in (0.0, 0.1, 1.0, 10.0, 100.0, 1e9):
             res = oracle_penalized_2d(pop, lam, OracleConfig())
-            assert res.objective <= _full_scan(pop, lam, OracleConfig()).objective, lam
+            assert res.objective <= _full_scan(pop, rows, lam).objective, lam
         for k_cap in (0, 1, 5, 10):
             res = oracle_2d(pop, OracleConfig(K=k_cap))
-            assert res.dm >= _full_scan(pop, None, OracleConfig(K=k_cap)).dm, k_cap
+            assert res.dm >= _full_scan(pop, rows, None, k_cap).dm, k_cap
 
 
 def _fresh(pop):
@@ -339,28 +364,10 @@ class TestStage:
                                    reference_oracle_penalized_2d(pop, lam, cfg))
             assert_same_result(oracle_2d(pop, cfg), reference_oracle_2d(pop, cfg))
 
-    def test_the_stage_does_not_keep_its_population_alive(self):
-        pop = _fresh(TREND_POPULATIONS["readme"])
-        oracle_penalized_2d(pop, 1.0, OracleConfig())
-        assert modbalance.oracle._held is not None
-        alive = weakref.ref(pop)
-        del pop
-        gc.collect()
-        assert alive() is None
-        assert modbalance.oracle._held is None
-
-    def test_a_replaced_stage_is_not_dropped_by_its_population_dying(self):
-        first, second = (_fresh(TREND_POPULATIONS["readme"]) for _ in range(2))
-        oracle_penalized_2d(first, 1.0, OracleConfig())
-        oracle_penalized_2d(second, 1.0, OracleConfig())
-        del first
-        gc.collect()
-        assert modbalance.oracle._held.pop() is second
-
     def test_the_old_stage_is_freed_before_a_new_one_is_built(self, monkeypatch):
         first, second = (_fresh(TREND_POPULATIONS["readme"]) for _ in range(2))
         oracle_penalized_2d(first, 1.0, OracleConfig())
-        old = weakref.ref(modbalance.oracle._held)
+        old = weakref.ref(modbalance.oracle._held[2])
         candidates = modbalance.oracle._candidates
         seen = []
 
@@ -417,15 +424,20 @@ class TestToyDisk:
 
 
 class TestCandidates:
-    """The array-built candidate set against the nested-loop definition."""
+    """The array-built candidate set against the nested-loop definition: the
+    do-nothing row, then the loop rows with w.e > 0."""
 
     @staticmethod
     def assert_same_rows(pop, cfg):
         W, B = _candidates(pop, cfg)
+        w, b = do_nothing_row(pop)
+        assert (W[0].tobytes(), B[0]) == (w.tobytes(), b)
         W_ref, B_ref = loop_candidates(pop, cfg)
-        assert W.shape == W_ref.shape and B.shape == B_ref.shape
-        assert np.max(np.abs(W - W_ref)) <= 1e-15
-        assert np.max(np.abs(B - B_ref)) <= 1e-14
+        ahead = W_ref @ pop.trend.e > 0
+        W_ref, B_ref = W_ref[ahead], B_ref[ahead]
+        assert W[1:].shape == W_ref.shape and B[1:].shape == B_ref.shape
+        assert np.max(np.abs(W[1:] - W_ref)) <= 1e-15
+        assert np.max(np.abs(B[1:] - B_ref)) <= 1e-14
 
     @pytest.mark.parametrize("cfg", [
         OracleConfig(),
@@ -444,9 +456,13 @@ class TestCandidates:
         self.assert_same_rows(pop, OracleConfig())
         cfg = OracleConfig(angle_steps=8, offset_steps=8)
         W, _ = _candidates(pop, cfg)
+        # the do-nothing row; the grid angles 0, pi/4, pi/2 (cos 6e-17 > 0)
+        # and 7 pi/4, which face the trend; and one orientation of each pair
+        # of distinct points but the 12 that share a height, whose boundary
+        # runs along the trend
         k = 2 * pop.n
-        grid_rows = cfg.angle_steps * (cfg.offset_steps + 1 + k)
-        assert W.shape[0] == grid_rows + 2 * (k * (k - 1) // 2 - 4)
+        grid_rows = 4 * (cfg.offset_steps + 1 + k)
+        assert W.shape[0] == 1 + grid_rows + (k * (k - 1) // 2 - 4 - 12)
 
 
 class TestOracleConfig:

@@ -376,17 +376,18 @@ class TestBatchedRestarts:
             Z = np.column_stack([rng.uniform(-1.0, 1.0, (R, d)), rng.normal(size=R)])
             Z[0, :d] *= -1.0 if Z[0, :d] @ e > 0 else 1.0  # w.e <= 0: the floor applies
             Z[-1, case % d] = 1.0  # a coordinate on the box
-            obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, cfg.lam)
+            same = np.full((R, 1), cfg.lam)  # every row the config's lam
+            obj, G = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, same)
             lam = rng.choice([0.0, 0.1, 10.0, 100.0], size=(R, 1))  # each row its own lam
             obj_col, G_col = _objective_and_gradient(Z, X, e, half_inv_cost, cfg.epsilon, lam)
             for r in range(R):
                 row = Z[r:r + 1].copy()
                 one_obj, one_G = _objective_and_gradient(row, X, e, half_inv_cost,
-                                                         cfg.epsilon, cfg.lam)
+                                                         cfg.epsilon, same[r:r + 1])
                 assert one_obj.tobytes() == obj[r:r + 1].tobytes()
                 assert one_G.tobytes() == G[r:r + 1].tobytes()
                 one_obj, one_G = _objective_and_gradient(row, X, e, half_inv_cost,
-                                                         cfg.epsilon, float(lam[r, 0]))
+                                                         cfg.epsilon, lam[r:r + 1])
                 assert one_obj.tobytes() == obj_col[r:r + 1].tobytes()
                 assert one_G.tobytes() == G_col[r:r + 1].tobytes()
 
