@@ -13,8 +13,9 @@ every ``SolveResult``, the solver's exact penalized objective and the d = 2
 oracles all call it, and like ``best_responses`` it counts a score <=
 ``BENIGN_TOL`` as benign. ``metrics``, ``dm_closed_form_linear`` and
 ``SolveResult`` read the same one-row call, so ``SolveResult.metrics`` is
-``metrics(pop, result.moderator)``. The do-nothing ``TRIVIAL`` mitigates
-nothing and filters no one.
+``metrics(pop, result.moderator)``. ``halfspace_scores`` and the polish take
+a stack's per-user scores from ``_stack_scores``, which gives each row its
+one-row bits. The do-nothing ``TRIVIAL`` mitigates nothing and filters no one.
 """
 
 from __future__ import annotations
@@ -49,11 +50,20 @@ class MetricReport:
     n: int
 
 
-# Candidates per block of ``halfspace_scores``: an (n, block) temporary holds
+# Candidates per block of ``halfspace_scores``: a (block, n) temporary holds
 # at most this many entries, or n entries (one candidate) when n is larger.
-# 16 times PGD's ``_PGD_BLOCK_ENTRIES`` on purpose: at 2**12 the audit benchmark's peak
-# RSS fell from 45.0 to 40.6 MiB, but its ops/s fell in 5 of 6 paired runs (8.5 to 7.3).
-_SCORE_BLOCK_ENTRIES = 2**16
+# 4 times PGD's ``_PGD_BLOCK_ENTRIES`` on purpose: 2**16 ran the audit benchmark at 31.7
+# against 37.3 ops/s (5 of 6 paired 10-s runs, 2-core Xeon) and peaked 4.1 MiB higher.
+_SCORE_BLOCK_ENTRIES = 2**14
+
+
+def _stack_scores(pop: Population, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Origin scores w.x_i and trend advances w.e/(2c_i) of the normals ``W``
+    (k, d), each (k, n). Both are stacked matmuls, which numpy runs as one
+    matrix-vector product or dot per row, so a row gets the bits it gets alone."""
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    return (np.matmul(pop.feature_matrix, W[:, :, None])[:, :, 0],
+            np.matmul(W[:, None, :], pop.trend.e) / (2.0 * pop.costs))
 
 
 def halfspace_scores(
@@ -78,7 +88,10 @@ def halfspace_scores(
 
     Raises ValueError unless ``W`` is (k, d) with d = ``pop.d``, ``B`` is
     (k,), both are finite and every row of ``W`` is nonzero. Candidates are
-    scored in blocks, so no temporary holds more than max(2**16, n) entries.
+    scored in blocks of rows, so no temporary holds more than max(2**14, n)
+    entries. A block's per-user terms are laid out (rows, n) by
+    ``_stack_scores`` and summed along contiguous rows, so at every block
+    size each row gets the bits of its one-row call.
     """
     X, e = pop.feature_matrix, pop.trend.e
     W = np.asarray(W, dtype=np.float64)
@@ -91,9 +104,7 @@ def halfspace_scores(
     norms = np.sum(W * W, axis=1)
     if not np.all(norms > 0):
         raise ValueError(f"row {int(np.argmin(norms > 0))} of W is a zero normal")
-    costs = pop.costs[:, None]
-    two_costs = 2.0 * costs
-    crossing = (X @ e[:, None] + np.dot(e, e) / (4.0 * costs)) / costs  # x.e/c + |e|^2/(4c^2)
+    crossing = (X @ e + np.dot(e, e) / (4.0 * pop.costs)) / pop.costs  # x.e/c + |e|^2/(4c^2)
     k = W.shape[0]
     dm = np.empty(k)
     penalty = np.empty(k)
@@ -102,21 +113,20 @@ def halfspace_scores(
     block = max(1, _SCORE_BLOCK_ENTRIES // pop.n)
     for start in range(0, k, block):
         rows = slice(start, start + block)
-        Wb = W[rows]
-        V = X @ Wb.T + B[rows]
-        S = (Wb @ e) / two_costs
+        P, S = _stack_scores(pop, W[rows])
+        V = P + B[rows, None]
         Y = V + S
         origin_benign = V <= BENIGN_TOL
         ideal_filtered = Y > BENIGN_TOL
         active = origin_benign & ideal_filtered
-        dm[rows] = np.sum(np.where(active, S * S - V * V, 0.0), axis=0) / norms[rows]
+        dm[rows] = np.sum(np.where(active, S * S - V * V, 0.0), axis=1) / norms[rows]
         hinge = np.maximum(Y, 0.0)
         hinge2 = hinge * hinge
-        penalty[rows] = np.sum(hinge2, axis=0)
-        violations[rows] = np.count_nonzero(ideal_filtered, axis=0)
+        penalty[rows] = np.sum(hinge2, axis=1)
+        violations[rows] = np.count_nonzero(ideal_filtered, axis=1)
         # origin and ideal point filtered, and crossing does not pay
-        stays = (ideal_filtered ^ active) & (hinge2 >= crossing * norms[rows])
-        filtered[rows] = np.count_nonzero(stays, axis=0)
+        stays = (ideal_filtered ^ active) & (hinge2 >= crossing * norms[rows, None])
+        filtered[rows] = np.count_nonzero(stays, axis=1)
     return dm, penalty, violations, filtered
 
 

@@ -16,12 +16,11 @@ The do-nothing row wins every tie at 0, so a K = 0 call returns it.
 doubling of their step counts, so refining the search never hurts.
 
 The search rows are scored by one :func:`~modbalance.metrics.halfspace_scores`
-call, with its ``BENIGN_TOL``; the do-nothing row's (0, 0, 0) are set. The
-``SolveResult`` re-scores the pick by one row, so its ``objective`` agrees
-exactly with its ``dm`` and ``penalty``, but those bits can differ from the
-batch's. So ``oracle_2d`` passes over a pick whose record breaks the cap K,
-and ``oracle_penalized_2d`` returns the do-nothing record when its pick's
-scores J > 0: every record meets its cap and scores J <= 0.
+call, with its ``BENIGN_TOL``, and the do-nothing row's (0, 0, 0), its one-row
+scores, are set. A batch row gets the bits of its one-row call, so the record
+that re-scores the pick shows the very scores it was picked on: every
+``oracle_2d`` record meets its cap K and every ``oracle_penalized_2d`` record
+scores J <= 0, the do-nothing row's value, at any feature scale.
 
 Neither the candidates nor their scores depend on lam or K, so one slot holds
 them for the last population object and candidate set (the config with its
@@ -132,30 +131,22 @@ def _stage(pop: Population, cfg: OracleConfig) -> tuple:
 
 
 def oracle_2d(pop: Population, cfg: OracleConfig) -> SolveResult:
-    """Best mitigation over the candidates meeting the violation cap K; a pick
-    whose record breaks the cap gives way to the next, at the latest row 0."""
+    """Best mitigation over the candidates meeting the violation cap K, the
+    first such row on ties; row 0 meets every cap."""
     _require_plane(pop)
     W, B, dm, _, violations = _stage(pop, cfg)
-    feasible = violations <= cfg.K
-    while True:
-        best = int(np.argmax(np.where(feasible, dm, -np.inf)))
-        result = _exact_result(pop, W[best], B[best], None, W.shape[0], True)
-        if result.violations <= cfg.K:
-            return result
-        feasible[best] = False
+    best = int(np.argmax(np.where(violations <= cfg.K, dm, -np.inf)))
+    return _exact_result(pop, W[best], B[best], None, W.shape[0], True)
 
 
 def oracle_penalized_2d(pop: Population, lam: float, cfg: OracleConfig) -> SolveResult:
     """The best of its candidate set on -mitigation + lam * squared hinges,
-    or the do-nothing row if the pick's record scores above 0."""
+    the first such row on ties; row 0 scores 0, so the pick scores <= 0."""
     _require_plane(pop)
     _require_lambda(lam)
     W, B, dm, penalty, _ = _stage(pop, cfg)
     best = int(np.argmin(-dm + lam * penalty))
-    result = _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
-    if result.objective > 0.0:
-        result = _exact_result(pop, W[0], B[0], lam, W.shape[0], True)
-    return result
+    return _exact_result(pop, W[best], B[best], lam, W.shape[0], True)
 
 
 def toy_disk(

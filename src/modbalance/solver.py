@@ -31,9 +31,9 @@ cache, and every step is rowwise, so a row gets the bits it gets alone.
 -DM + lam * sum_i max(0, w.(x_i + e/2c_i) + b)^2 over unit normals, started from
 any halfspace (typically the PGD solution); it is the same objective as the
 d = 2 reference ``oracle_penalized_2d``, in any dimension. Each poll of its
-search over directions scores all its turned normals at their exact best
-offsets in one sorted sweep (``_exact_offsets``), and the returned record's
-objective is -dm + lam * penalty of its own scored row.
+search over directions scores all its turned normals' ``_stack_scores`` at
+their exact best offsets in one sorted sweep (``_exact_offsets``), and the
+returned record's objective is -dm + lam * penalty of its own scored row.
 
 Every solver here and both oracles return a ``SolveResult``, the one record of
 a solve. It scores its moderator once, by a one-row ``halfspace_scores`` call:
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import MetricReport, _halfspace_report
+from .metrics import MetricReport, _halfspace_report, _stack_scores
 from .model import (LinearModerator, Population, SettingError, _require_int, _require_lambda,
                     _require_positive, _require_same_dimension, _require_seed, _stream)
 
@@ -307,7 +307,7 @@ _A_MIN = 1e-6
 # 8 rows at n = 500: there a row costs least in blocks of 8-16 rows, whose
 # (rows, n) temporaries stay in cache; 2**13 ran the tradeoff sweep no faster
 # and doubled its peak of traced allocations, and larger blocks ran it slower.
-# ``metrics._SCORE_BLOCK_ENTRIES`` is 16 times larger on purpose: it says why.
+# ``metrics._SCORE_BLOCK_ENTRIES`` is 4 times larger on purpose: it says why.
 _PGD_BLOCK_ENTRIES = 2**12
 
 
@@ -432,8 +432,8 @@ def _exact_offsets(P: np.ndarray, S: np.ndarray, lam: float) -> tuple[np.ndarray
     up by s_i^2 past the second, whose closed side is attained. Between
     sorted breakpoints it is one convex quadratic A b^2 + B b + C whose
     coefficients are running sums, so each piece is minimized in closed form:
-    O(n log n) time and O(n) memory per row. Each row is swept on its own, so
-    it gets the bits its one-row call gets.
+    O(n log n) time and O(n) memory per row. A row is swept on its own, so with
+    ``P`` and ``S`` from ``metrics._stack_scores`` it gets its one-row call's bits.
 
     Returns (b, J), each (k,). Where no offset beats J = 0, in particular in
     a row with some s_i <= 0, b is an all-benign offset and J = 0.
@@ -489,14 +489,13 @@ def _pattern_search(pop: Population, w: np.ndarray, b: float, J: float, lam: flo
     (w, b, J, polls, converged), converged meaning the step fell below its
     tolerance rather than the poll cap being reached.
     """
-    X, e, two_costs = pop.feature_matrix, pop.trend.e, 2.0 * pop.costs
     step, polls = _POLISH_STEP, 0
     while step >= _POLISH_STEP_TOL and polls < _POLISH_MAX_POLLS:
         polls += 1
         turns = np.sin(step) * _tangent_basis(w)
         W = np.cos(step) * w + np.stack([turns, -turns], axis=1).reshape(-1, w.shape[0])
         W /= np.linalg.norm(W, axis=1, keepdims=True)
-        offsets, Js = _exact_offsets(W @ X.T, (W @ e)[:, None] / two_costs, lam)
+        offsets, Js = _exact_offsets(*_stack_scores(pop, W), lam)
         scores = np.append(J, Js)  # the current point first, so it keeps ties
         low = scores.min()
         best = int(np.argmax(scores <= low + _POLISH_TIE * abs(low)))
@@ -532,8 +531,7 @@ def polish_penalized(pop: Population, f: LinearModerator, lam: float) -> SolveRe
     _require_same_dimension(pop, f)
     norm = float(np.linalg.norm(f.w))
     W = np.stack([f.w / norm, pop.trend.e / np.linalg.norm(pop.trend.e)])
-    offsets, Js = _exact_offsets(W @ pop.feature_matrix.T,
-                                 (W @ pop.trend.e)[:, None] / (2.0 * pop.costs), lam)
+    offsets, Js = _exact_offsets(*_stack_scores(pop, W), lam)
     runs = [_pattern_search(pop, W[k], offsets[k], Js[k], lam) for k in (0, 1)]
     w, b, _, polls, converged = min(runs, key=lambda run: run[2])
     result = _exact_result(pop, w, b, lam, polls, converged)

@@ -253,38 +253,33 @@ class TestHalfspaceScores:
             halfspace_scores(pop, W, B)
 
     def test_batch_equals_single_rows(self):
-        # at the real block size n = 300 takes 218 candidates per block
+        # at the real block size n = 300 takes 54 candidates per block
         rng = np.random.default_rng(6)
         pop, _ = random_instance(rng, n=300, d=4)
         W, B = random_rows(rng, pop, 2000)
         batch = halfspace_scores(pop, W, B)
         for k in range(2000):
             for got, single in zip(batch, halfspace_scores(pop, W[k : k + 1], B[k : k + 1])):
-                assert abs(got[k] - single[0]) <= 1e-12 * (1 + abs(single[0]))
+                assert got[k : k + 1].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("d", [2, 5, 10])
     def test_rows_score_alike_at_every_block_size(self, monkeypatch, d):
         # at n = 100, 16 entries per block score one row per block, 2**12 score
-        # 40 and 2**16 all 2000. The counts keep their bits at every size; dm
-        # and penalty keep them only at one row per block, because a larger
-        # block forms its scores by one matrix-matrix product and sums them
-        # down strided columns, which moves them in their last bits.
+        # 40, the module's own 2**14 score 163 and 2**16 score 655; every output
+        # keeps its one-row bits at every size, with features scaled by 1e16 too
+        sizes = (16, 2**12, metrics_mod._SCORE_BLOCK_ENTRIES, 2**16)
         rng = np.random.default_rng(d)
-        pop, _ = random_instance(rng, n=100, d=d)
+        base, _ = random_instance(rng, n=100, d=d)
         W = rng.normal(size=(2000, d))
         B = rng.normal(scale=1.5 * np.sqrt(d), size=2000)
-        one_row = [np.concatenate(column) for column in zip(
-            *(halfspace_scores(pop, W[k : k + 1], B[k : k + 1]) for k in range(2000)))]
-        for size in (16, 2**12, 2**16):
-            monkeypatch.setattr(metrics_mod, "_SCORE_BLOCK_ENTRIES", size)
-            dm, penalty, violations, filtered = halfspace_scores(pop, W, B)
-            assert violations.tobytes() == one_row[2].tobytes()
-            assert filtered.tobytes() == one_row[3].tobytes()
-            for got, want in ((dm, one_row[0]), (penalty, one_row[1])):
-                if size == 16:
-                    assert got.tobytes() == want.tobytes()
-                else:
-                    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+        for scale in (1.0, 1e16):
+            pop = Population.from_arrays(base.feature_matrix * scale, base.costs, base.trend.e)
+            one_row = [np.concatenate(column) for column in zip(
+                *(halfspace_scores(pop, W[k : k + 1], B[k : k + 1] * scale) for k in range(2000)))]
+            for size in sizes:
+                monkeypatch.setattr(metrics_mod, "_SCORE_BLOCK_ENTRIES", size)
+                for got, want in zip(halfspace_scores(pop, W, B * scale), one_row):
+                    assert got.tobytes() == want.tobytes(), (scale, size)
 
 
 class TestMetrics:

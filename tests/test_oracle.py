@@ -290,8 +290,8 @@ class TestDoNothingRow:
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_every_cap_is_met_at_any_scale(self, name):
-        # the pick is made on batch bits, and its one-row record can count
-        # one violation more; such a pick gives way to the next
+        # the pick is made on batch bits, and its one-row record re-scores
+        # to those very bits, so it counts no violation more
         for scale in SCALES:
             pop = _scaled(TREND_POPULATIONS[name], scale)
             for k_cap in (1, 2, 5, 10):
@@ -300,7 +300,8 @@ class TestDoNothingRow:
 
     @pytest.mark.parametrize("name", list(TREND_POPULATIONS))
     def test_penalized_objective_is_never_positive(self, name):
-        # a pick whose one-row record scores J > 0 gives way to row 0
+        # the pick scores no more than row 0's J = 0 on batch bits, and its
+        # one-row record re-scores to those very bits
         for scale in SCALES:
             pop = _scaled(TREND_POPULATIONS[name], scale)
             for lam in (0.0, 0.1, 1.0, 10.0, 100.0, 1e9):

@@ -41,6 +41,7 @@ from modbalance import (
     sweep_lambda,
     toy_disk,
 )
+from modbalance.metrics import _stack_scores
 from modbalance.model import _stream
 from modbalance.solver import (
     _A_MIN,
@@ -50,6 +51,7 @@ from modbalance.solver import (
     _exact_offsets,
     _initial_point,
     _objective_and_gradient,
+    _tangent_basis,
 )
 
 CFG = SolverConfig(epsilon=0.9, lam=10.0)
@@ -522,6 +524,23 @@ class TestPolishPenalized:
                 b_r, J_r = _exact_offsets(P[r:r + 1], S[r:r + 1], lam)
                 assert b[r].tobytes() == b_r[0].tobytes()
                 assert J[r].tobytes() == J_r[0].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_polls_score_each_turn_as_its_one_row_call(self, d):
+        # a poll's 2(d - 1) turned normals at step 0.375, scored as the polish
+        # scores them: offsets and values equal the one-row calls', where one
+        # matrix product for the whole stack would move some of them
+        pop = generate(MixtureSpec(d=d, n=200, k=5, seed=d))
+        w = np.random.default_rng(d).normal(size=d)
+        w /= np.linalg.norm(w)
+        turns = np.sin(0.375) * _tangent_basis(w)
+        W = np.cos(0.375) * w + np.stack([turns, -turns], axis=1).reshape(-1, d)
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        for lam in (0.1, 1.0, 10.0):
+            b, J = _exact_offsets(*_stack_scores(pop, W), lam)
+            for r in range(W.shape[0]):
+                b_r, J_r = _exact_offsets(*_stack_scores(pop, W[r:r + 1]), lam)
+                assert (b[r].tobytes(), J[r].tobytes()) == (b_r.tobytes(), J_r.tobytes()), lam
 
     def test_line_polls_only_halve_the_step(self):
         # d = 1 has no tangent directions: every poll scores an empty stack,
